@@ -102,6 +102,6 @@ from .synthesis import (
     synthesize_from_complex_pair,
     xi_from_real_spectrum,
 )
-from .zfeas import USING_COMPILED_KERNEL, ZFeasibilityResult, z_feasibility
+from .zfeas import ZFeasibilityResult, z_feasibility
 
 __version__ = "0.1.0"

@@ -26,7 +26,7 @@ from .channel import (
     transfer_to_superoperator,
 )
 from .criteria import complex_pair_disc, det_range_check, k_norm_bound, theorem1
-from .exceptions import ChanspecError, NotRealizableError
+from .exceptions import ChanspecError, NotRealizableError, StructuralError
 from .gauge import (
     GaugeTransform,
     computational_state_effect,
@@ -111,7 +111,7 @@ def cmd_analyze(args) -> int:
             "satisfied": bound >= -1e-12,
             "bound": bound,
         }
-        zres = z_feasibility(sp, seed=args.seed)
+        zres = z_feasibility(sp)
         verdicts["z_feasibility"] = {
             "criterion": "z_feasibility",
             "satisfied": zres.feasible,
@@ -156,15 +156,25 @@ def cmd_analyze(args) -> int:
     return EXIT_REFUTED if refuted else EXIT_OK
 
 
+def _finite_floats(values, name: str) -> list:
+    try:
+        values = [float(v) for v in values]
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise StructuralError(f"{name} must be numbers: {exc}") from exc
+    if not all(np.isfinite(values)):
+        raise StructuralError(f"{name} must be finite numbers, got {values}")
+    return values
+
+
 def cmd_synthesize(args) -> int:
     payload = serialize.load_json(args.input)
     try:
         if "real" in payload:
-            l1, l2, l3 = (float(v) for v in payload["real"])
+            l1, l2, l3 = _finite_floats(payload["real"], "real")
             phi = xi_from_real_spectrum(l1, l2, l3)
         elif "x" in payload and "z" in payload:
-            z = complex(payload["z"][0], payload["z"][1])
-            phi = synthesize_from_complex_pair(float(payload["x"]), z)
+            x, re, im = _finite_floats([payload["x"], payload["z"][0], payload["z"][1]], "x and z")
+            phi = synthesize_from_complex_pair(x, complex(re, im))
         else:
             raise ChanspecError('expected {"x": ..., "z": [re, im]} or {"real": [l1, l2, l3]}')
     except NotRealizableError as exc:
@@ -354,3 +364,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

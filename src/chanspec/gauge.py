@@ -18,7 +18,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .basis import basis_change_matrix
 from .channel import Superoperator
@@ -265,6 +264,9 @@ class OrbitInvarianceReport:
 
 def matched_spectral_distance(values_a, values_b) -> float:
     """Largest matched eigenvalue distance under the optimal assignment."""
+    # imported here: scipy.optimize is most of the package's import time
+    from scipy.optimize import linear_sum_assignment
+
     a = np.asarray(values_a, dtype=complex)
     b = np.asarray(values_b, dtype=complex)
     cost = np.abs(a[:, None] - b[None, :])

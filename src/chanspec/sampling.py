@@ -6,14 +6,6 @@ from .channel import KrausSet, TransferMatrix
 from .spectra import EtaTriple
 
 
-def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-random unitary via QR of a complex Ginibre matrix with phase fix."""
-    z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    phases = np.diag(r) / np.abs(np.diag(r))
-    return q * phases
-
-
 def haar_isometry(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-random isometry (rows >= cols) with V^dag V = identity."""
     z = (rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))) / np.sqrt(2.0)

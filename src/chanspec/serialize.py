@@ -10,12 +10,14 @@ All numbers are printed with 17 significant digits so that emitted files
 round-trip exactly and identical inputs produce byte-identical output.
 """
 
+import cmath
 import json
+import numbers
 
 import numpy as np
 
 from .channel import KrausSet, Superoperator, TransferMatrix
-from .exceptions import StructuralError
+from .exceptions import MalformedSpectrumError, StructuralError
 from .spectra import Spectrum, build_spectrum
 
 
@@ -96,8 +98,30 @@ def spectrum_to_dict(sp: Spectrum) -> dict:
     }
 
 
+def _finite_pair(entry) -> complex:
+    """One ``[re, im]`` spectrum entry; anything but two finite numbers is malformed."""
+    if (
+        isinstance(entry, (list, tuple))
+        and len(entry) == 2
+        and all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in entry)
+    ):
+        try:
+            value = complex(entry[0], entry[1])
+        except OverflowError:  # an integer literal too large for a float
+            pass
+        else:
+            if cmath.isfinite(value):
+                return value
+    raise MalformedSpectrumError(
+        f"spectrum entries must be [re, im] pairs of finite numbers, got {entry!r}"
+    )
+
+
 def spectrum_from_dict(payload: dict) -> Spectrum:
-    values = np.array([complex(p[0], p[1]) for p in payload["spectrum"]])
+    entries = payload["spectrum"]
+    if not isinstance(entries, list) or not entries:
+        raise MalformedSpectrumError("spectrum must be a non-empty list of [re, im] pairs")
+    values = np.array([_finite_pair(entry) for entry in entries])
     dim = int(round(np.sqrt(len(values))))
     if dim * dim != len(values):
         raise StructuralError(f"spectrum length {len(values)} is not a perfect square")

@@ -1,50 +1,30 @@
-"""Spectral feasibility search: can any CP channel carry a given qubit spectrum?
+"""Spectral feasibility: can any CP channel carry a given qubit spectrum?
 
-The search looks for a witness (singular triple, translation vector)
-satisfying every necessary CP inequality simultaneously, with the singular
-triple constrained by the majorization relations against the eigenvalue
-moduli and the translation capped by the spectral norm bound.  An infeasible
-outcome is a gauge-invariant refutation of complete positivity strictly
-stronger than the moduli test alone; a feasible outcome is inconclusive.
-
-The inner optimization is the hot loop of the library: population-level
-soundness sweeps run it tens of thousands of times.  A compiled kernel is
-used when available and the pure-Python twin otherwise; set the environment
-variable ``CHANSPEC_PURE_PYTHON=1`` before import to force the fallback.
+A witness is a singular triple ``s``, constrained by the majorization
+relations against the eigenvalue moduli ``m``, plus a translation vector
+capped by the spectral norm bound.  Its margin is the joint slack of the
+Fujiwara-Algoet (FA) condition and the quartic condition (Fujiwara & Algoet,
+PRA 59, 3290).  One witness in closed form decides whether any witness
+exists, so no search is needed.  An infeasible outcome is a gauge-invariant
+refutation of complete positivity; a feasible outcome is inconclusive.
 """
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import _zopt_py
-from .criteria import DET_SIGN_BAND, k_norm_bound
+from .criteria import fa_singular, k_norm_bound, z_condition_singular
 from .exceptions import UnsupportedDimensionError
 from .spectra import SingularTriple, Spectrum
 
-if os.environ.get("CHANSPEC_PURE_PYTHON"):
-    _kernel = _zopt_py
-    USING_COMPILED_KERNEL = False
-else:
-    try:
-        from . import _zopt as _kernel
-
-        USING_COMPILED_KERNEL = True
-    except ImportError:
-        _kernel = _zopt_py
-        USING_COMPILED_KERNEL = False
-
 FEASIBILITY_TOL = 1e-9
-DEFAULT_GRID = 25
-DEFAULT_REFINE_ITERS = 200
 
 
 @dataclass(frozen=True)
 class ZFeasibilityResult:
-    """Outcome of the witness search.
+    """Outcome of the feasibility test.
 
-    ``witness`` is the best (singular triple, translation vector) pair found,
+    ``witness`` is the canonical (singular triple, translation vector) pair,
     expressed in the frame that diagonalizes the Bloch map; ``certificate``
     names the inequality that refuted feasibility outright, when one did.
     """
@@ -55,33 +35,30 @@ class ZFeasibilityResult:
     certificate: str = ""
 
 
-def z_feasibility(
-    sp: Spectrum,
-    samples: int = 64,
-    seed: int = 0,
-    grid_n: int = DEFAULT_GRID,
-    refine_iters: int = DEFAULT_REFINE_ITERS,
-    kernel=None,
-) -> ZFeasibilityResult:
-    """Search for a witness consistent with the spectrum; deterministic per seed.
+def z_feasibility(sp: Spectrum) -> ZFeasibilityResult:
+    """Joint FA/quartic margin at the seed witness: the moduli ``m`` with ``k = 0``.
 
-    Parameters
-    ----------
-    sp : Spectrum
-        Qubit spectrum (dim 2).
-    samples : int
-        Number of seeded random candidates added to the deterministic coarse
-        grid (``grid_n`` points per axis) before simplex refinement.
-    seed : int
-        Seed for the random candidates and the refinement jitter.
-    kernel : module, optional
-        Kernel override, used by the benchmark and the twin-agreement tests.
+    Why the seed witness decides feasibility:
+
+    * Every admissible triple has ``s1 + s2 >= m1 + m2``,
+      ``s1 + s2 + s3 >= m1 + m2 + m3`` and ``s3 = prod(m) / (s1 * s2) <= m3``,
+      so both FA branches, ``1 - s1 - s2 + s3`` and ``1 - s1 - s2 - s3``, are
+      largest at ``s = m``, where FA is the :func:`~chanspec.criteria.theorem1`
+      margin (up to the ``DET_SIGN_BAND`` reading of the determinant sign).
+      No witness beats that margin.
+    * When FA holds at ``m``, all four factors of the quartic product
+      ``q(m)`` are nonnegative, and the negative branch only adds
+      ``16 * prod(m) >= 0``.  So the seed margin is nonnegative, and the
+      Pauli-diagonal channel ``diag(+-m)`` realizes the witness.
+
+    ``best_margin`` is the seed's joint margin.  A witness with a larger
+    quartic term can exceed it, but never the seed's FA term, so the verdict
+    is the same up to rounding at ``-FEASIBILITY_TOL``.  A spectrum
+    whose squared-translation bound is negative is refuted by
+    :func:`~chanspec.criteria.k_norm_bound` alone and has no witness.
     """
     if sp.dim != 2:
         raise UnsupportedDimensionError(f"z_feasibility needs a qubit spectrum, got dim {sp.dim}")
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
-    kernel = _kernel if kernel is None else kernel
 
     bound = k_norm_bound(sp)
     if bound < -1e-12:
@@ -94,28 +71,15 @@ def z_feasibility(
 
     moduli = sp.moduli_decreasing()
     product = float(np.prod(sp.non_unit_values()).real)
-    if product > DET_SIGN_BAND:
-        det_sign = 1.0
-    elif product < -DET_SIGN_BAND:
-        det_sign = -1.0
-    else:
-        det_sign = 0.0
-
-    margin, s1, s2, s3, k1, k2, k3 = kernel.optimize_margin(
-        float(moduli[0]),
-        float(moduli[1]),
-        float(moduli[2]),
-        det_sign,
-        max(float(bound), 0.0),
-        int(grid_n),
-        int(samples),
-        int(refine_iters),
-        int(seed) & ((1 << 64) - 1),
+    k = np.zeros(3)
+    margin = min(
+        fa_singular(moduli, product).margin,
+        z_condition_singular(moduli, k, product).margin,
     )
-    witness = (SingularTriple.from_values((s1, s2, s3)), np.array([k1, k2, k3]))
+    feasible = margin >= -FEASIBILITY_TOL
     return ZFeasibilityResult(
-        feasible=margin >= -FEASIBILITY_TOL,
-        best_margin=float(margin),
-        witness=witness,
-        certificate="" if margin >= -FEASIBILITY_TOL else "joint_margin",
+        feasible=feasible,
+        best_margin=margin,
+        witness=(SingularTriple.from_values(moduli), k),
+        certificate="" if feasible else "joint_margin",
     )

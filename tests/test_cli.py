@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -66,6 +69,23 @@ class TestAnalyze:
         path.write_text("{not json")
         assert main(["analyze", str(path)]) == 1
 
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            [1, 2, 3, 4],
+            [[1, 0], [0.5, 0], [0.5, 0], [0.5]],
+            [[1, 0], [0.5, 0], [0.5, 0], [float("nan"), 0]],
+            [[1, 0], [0.5, 0], [0.5, 0], [0.5, float("inf")]],
+            [[1, 0], [0.5, 0], [0.5, 0], ["0.5", 0]],
+            "1234",
+        ],
+    )
+    def test_malformed_spectrum_entries(self, tmp_path, capsys, entries):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"spectrum": entries}))
+        assert main(["analyze", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_higher_dim_skips_qubit_criteria(self, tmp_path):
         phi = cs.kraus_to_superoperator(cs.sample_cptp(3, 2, seed=0))
         path = write_channel(tmp_path, "qutrit.json", phi)
@@ -100,6 +120,21 @@ class TestSynthesize:
         spec.write_text(json.dumps({"x": -0.4, "z": [0.0, 0.5]}))
         assert main(["synthesize", str(spec)]) == 2
         assert "|z| <= (1 + x)/2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"x": 0.2, "z": [float("nan"), 0.1]},
+            {"x": float("inf"), "z": [0.1, 0.1]},
+            {"real": [0.5, float("nan"), 0.2]},
+        ],
+    )
+    def test_non_finite_target_exits_1(self, tmp_path, capsys, payload):
+        # exit 2 would claim a CP refutation; a non-finite target is malformed input
+        spec = tmp_path / "target.json"
+        spec.write_text(json.dumps(payload))
+        assert main(["synthesize", str(spec)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_round_trip_through_analyze(self, tmp_path):
         spec = tmp_path / "target.json"
@@ -209,3 +244,14 @@ class TestGaugeCommand:
         report = json.loads(out.read_text())
         assert report["gauge_broken"] is True
         assert report["max_prob_deviation"] > report["prob_tolerance"]
+
+
+def test_module_entry_point():
+    src = os.path.dirname(os.path.dirname(cs.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run(
+        [sys.executable, "-m", "chanspec.cli", "sample", "--n", "3"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout)["n"] == 3
