@@ -62,3 +62,15 @@ def basis_change_matrix(dim: int) -> np.ndarray:
     c = basis.reshape(dim * dim, dim * dim).T.copy()
     c.setflags(write=False)
     return c
+
+
+def to_block(matrix: np.ndarray, dim: int) -> np.ndarray:
+    """Block form ``c^dag M c`` of a superoperator matrix, ``c`` the :func:`basis_change_matrix`."""
+    c = basis_change_matrix(dim)
+    return c.conj().T @ matrix @ c
+
+
+def from_block(block: np.ndarray, dim: int) -> np.ndarray:
+    """Inverse of :func:`to_block`: the superoperator matrix ``c B c^dag``."""
+    c = basis_change_matrix(dim)
+    return c @ block @ c.conj().T

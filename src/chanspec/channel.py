@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import basis_change_matrix, basis_id
+from .basis import basis_id, from_block, to_block
 from .exceptions import (
     NonHermitianImageError,
     NotTracePreservingError,
@@ -83,11 +83,6 @@ class KrausSet:
             )
         return cls(dim=dim, operators=tuple(_frozen(k) for k in ops))
 
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        """Action ``sum_n K_n rho K_n^dag`` on a density matrix."""
-        rho = np.asarray(rho, dtype=complex)
-        return sum(k @ rho @ k.conj().T for k in self.operators)
-
 
 @dataclass(frozen=True)
 class Superoperator:
@@ -137,6 +132,8 @@ class TransferMatrix:
     def from_blocks(cls, translation, bloch_map, dim=None) -> "TransferMatrix":
         k = np.asarray(translation, dtype=float)
         t = np.asarray(bloch_map, dtype=float)
+        if k.ndim != 1:
+            raise StructuralError(f"translation must be a vector, got shape {k.shape}")
         n = k.shape[0]
         if t.shape != (n, n):
             raise StructuralError(
@@ -205,8 +202,7 @@ def superoperator_to_transfer(phi: Superoperator) -> TransferMatrix:
         If the block matrix has imaginary residue above 1e-8 (the map does
         not send Hermitian operators to Hermitian operators).
     """
-    c = basis_change_matrix(phi.dim)
-    block = c.conj().T @ phi.matrix @ c
+    block = to_block(phi.matrix, phi.dim)
     first_row_dev = np.max(np.abs(block[0] - np.eye(phi.dim**2)[0]))
     if first_row_dev > TRANSFER_ROW_ATOL:
         raise NotTracePreservingError(
@@ -232,8 +228,7 @@ def transfer_to_superoperator(tm: TransferMatrix) -> Superoperator:
         raise StructuralError(
             f"unknown basis {tm.basis_id!r}; expected {basis_id(tm.dim)!r}"
         )
-    c = basis_change_matrix(tm.dim)
-    return Superoperator(dim=tm.dim, matrix=_frozen(c @ tm.full_matrix() @ c.conj().T))
+    return Superoperator(dim=tm.dim, matrix=_frozen(from_block(tm.full_matrix(), tm.dim)))
 
 
 def choi_matrix(phi: Superoperator) -> ChoiMatrix:

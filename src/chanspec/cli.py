@@ -6,8 +6,8 @@ prescribed qubit spectrum), ``region`` (admissible complex-eigenvalue region
 as CSV), ``sample`` (population statistics over random channels) and
 ``gauge`` (orbit-invariance verification of a gate set).
 
-Exit codes: 0 success, 1 structural/input error, 2 a necessary condition
-refuted complete positivity (or, for ``gauge``, invariance was broken).
+Exit codes: 0 success, 1 structural, input or usage error, 2 a necessary
+condition refuted complete positivity (or, for ``gauge``, invariance broke).
 """
 
 import argparse
@@ -25,7 +25,7 @@ from .channel import (
     superoperator_to_transfer,
     transfer_to_superoperator,
 )
-from .criteria import complex_pair_disc, det_range_check, k_norm_bound, theorem1
+from .criteria import VERDICT_ATOL, complex_pair_disc, det_range_check, k_norm_bound, theorem1
 from .exceptions import ChanspecError, NotRealizableError, StructuralError
 from .gauge import (
     GaugeTransform,
@@ -44,6 +44,8 @@ EXIT_OK = 0
 EXIT_STRUCTURAL = 1
 EXIT_REFUTED = 2
 
+K_NORM_SLACK = 1e-9  # squared translation norm of a channel over its spectral bound
+
 
 def _to_superoperator(channel) -> Superoperator:
     if isinstance(channel, KrausSet):
@@ -53,16 +55,13 @@ def _to_superoperator(channel) -> Superoperator:
     return channel
 
 
-def _verdict_dict(verdict, witness=None) -> dict:
-    payload = {
+def _verdict_dict(verdict) -> dict:
+    return {
         "criterion": verdict.criterion,
         "satisfied": verdict.satisfied,
         "margin": verdict.margin,
         "branch": verdict.branch,
     }
-    if witness is not None:
-        payload["witness"] = witness
-    return payload
 
 
 def _spectral_class_dict(cls) -> dict:
@@ -108,7 +107,7 @@ def cmd_analyze(args) -> int:
         bound = k_norm_bound(sp)
         k_entry = {
             "criterion": "k_norm_bound",
-            "satisfied": bound >= -1e-12,
+            "satisfied": bound >= -VERDICT_ATOL,
             "bound": bound,
         }
         zres = z_feasibility(sp)
@@ -127,15 +126,10 @@ def cmd_analyze(args) -> int:
         if tm is not None:
             actual = float(tm.translation @ tm.translation)
             k_entry["actual_k_norm_sq"] = actual
-            k_entry["actual_within_bound"] = bool(actual <= bound + 1e-9)
+            k_entry["actual_within_bound"] = bool(actual <= bound + K_NORM_SLACK)
         verdicts["k_norm_bound"] = k_entry
         report["criteria"] = verdicts
-        refuted = (
-            not verdicts["theorem1"]["satisfied"]
-            or not verdicts["det_range"]["satisfied"]
-            or not k_entry["satisfied"]
-            or not zres.feasible
-        )
+        refuted = not all(v["satisfied"] for v in verdicts.values())
     else:
         report["criteria"] = {"note": f"spectral CP criteria implemented for qubits only (dim {sp.dim})"}
 
@@ -173,7 +167,10 @@ def cmd_synthesize(args) -> int:
             l1, l2, l3 = _finite_floats(payload["real"], "real")
             phi = xi_from_real_spectrum(l1, l2, l3)
         elif "x" in payload and "z" in payload:
-            x, re, im = _finite_floats([payload["x"], payload["z"][0], payload["z"][1]], "x and z")
+            z = payload["z"]
+            if not isinstance(z, list) or len(z) != 2:
+                raise StructuralError(f"z must be a [re, im] pair, got {z!r}")
+            x, re, im = _finite_floats([payload["x"], *z], "x and z")
             phi = synthesize_from_complex_pair(x, complex(re, im))
         else:
             raise ChanspecError('expected {"x": ..., "z": [re, im]} or {"real": [l1, l2, l3]}')
@@ -232,7 +229,7 @@ def cmd_sample(args) -> int:
             if det_range_check(sp).satisfied:
                 pass_counts["det_range"] += 1
             actual = float(tm.translation @ tm.translation)
-            if actual <= k_norm_bound(sp) + 1e-9:
+            if actual <= k_norm_bound(sp) + K_NORM_SLACK:
                 pass_counts["k_norm_bound"] += 1
     gap_hist, gap_edges = np.histogram(gaps, bins=20, range=(0.0, 1.0))
     det_hist, det_edges = np.histogram(dets, bins=20)
@@ -302,8 +299,14 @@ def cmd_gauge(args) -> int:
     return EXIT_OK if ok else EXIT_REFUTED
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # exit 1: argparse's own code 2 would read as "CP refuted"
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_STRUCTURAL, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="chanspec",
         description="Gauge-invariant spectral analysis of quantum channels",
     )
@@ -311,11 +314,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--out", default=None, help="output path (default: stdout)")
-        p.add_argument("--seed", type=int, default=0, help="random seed")
-        p.add_argument("--tol", type=float, default=None, help="CP oracle tolerance")
 
     p = sub.add_parser("analyze", help="full report for a channel or spectrum file")
     p.add_argument("input", help="channel JSON or {'spectrum': ...} file")
+    p.add_argument("--tol", type=float, default=None, help="CP oracle tolerance")
     common(p)
     p.set_defaults(func=cmd_analyze)
 
@@ -334,6 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="number of channels")
     p.add_argument("--d", type=int, default=2, help="Hilbert-space dimension")
     p.add_argument("--rank", type=int, default=4, help="Kraus rank")
+    p.add_argument("--seed", type=int, default=0, help="random seed")
     common(p)
     p.set_defaults(func=cmd_sample)
 
@@ -343,6 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-len", type=int, default=3, dest="max_len", help="max sequence length")
     p.add_argument("--break-gauge", action="store_true", dest="break_gauge",
                    help="negative test: violate the group condition on purpose")
+    p.add_argument("--seed", type=int, default=0, help="random seed")
     common(p)
     p.set_defaults(func=cmd_gauge)
 

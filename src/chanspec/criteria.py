@@ -52,16 +52,21 @@ def _as_triple(values) -> np.ndarray:
     return arr
 
 
+def _fa_slacks(e1, e2, e3) -> tuple:
+    """The four slacks ``1 +- e1 +- e2 +- e3`` with an even number of minus signs."""
+    return (
+        1.0 + e1 + e2 + e3,
+        1.0 + e1 - e2 - e3,
+        1.0 - e1 + e2 - e3,
+        1.0 - e1 - e2 + e3,
+    )
+
+
 def quadruple_product(eta) -> float:
     """Product of the four factors ``(1 +- eta_1 +- eta_2 +- eta_3)`` with an
     even number of minus signs."""
-    e1, e2, e3 = _as_triple(eta)
-    return float(
-        (1.0 + e1 + e2 + e3)
-        * (1.0 + e1 - e2 - e3)
-        * (1.0 - e1 + e2 - e3)
-        * (1.0 - e1 - e2 + e3)
-    )
+    a, b, c, d = _fa_slacks(*_as_triple(eta))
+    return float(a * b * c * d)
 
 
 def fa_conditions(eta) -> CriterionVerdict:
@@ -70,14 +75,24 @@ def fa_conditions(eta) -> CriterionVerdict:
     The four linear slacks are the factors of :func:`quadruple_product`; the
     margin is their minimum.
     """
-    e1, e2, e3 = _as_triple(eta)
-    slacks = (
-        1.0 + e1 + e2 + e3,
-        1.0 + e1 - e2 - e3,
-        1.0 - e1 + e2 - e3,
-        1.0 - e1 - e2 + e3,
-    )
-    return _verdict("fa_conditions", min(slacks))
+    return _verdict("fa_conditions", min(_fa_slacks(*_as_triple(eta))))
+
+
+def _singular_triple(s) -> np.ndarray:
+    arr = _as_triple(s)
+    if np.any(np.diff(arr) > 0) or arr[2] < 0:
+        raise ValueError(f"singular values must be decreasing and nonnegative: {arr}")
+    return arr
+
+
+def _branch_verdict(criterion, det_sign, positive, negative) -> CriterionVerdict:
+    """The margin on the branch of ``det_sign``; inside ``DET_SIGN_BAND``, the larger one."""
+    det_sign = float(det_sign)
+    if det_sign > DET_SIGN_BAND:
+        return _verdict(criterion, positive, branch="+")
+    if det_sign < -DET_SIGN_BAND:
+        return _verdict(criterion, negative, branch="-")
+    return _verdict(criterion, max(positive, negative), branch="0")
 
 
 def _fa_singular_margin(s: np.ndarray, positive_branch: bool) -> float:
@@ -95,21 +110,9 @@ def fa_singular(s, det_sign) -> CriterionVerdict:
     negative one ``1 - s1 - s2 - s3 >= 0``; at zero both coincide and the
     larger margin is reported.
     """
-    arr = _as_triple(s)
-    if np.any(np.diff(arr) > 0) or arr[2] < 0:
-        raise ValueError(f"singular values must be decreasing and nonnegative: {arr}")
-    det_sign = float(det_sign)
-    if det_sign > DET_SIGN_BAND:
-        return _verdict("fa_singular", _fa_singular_margin(arr, True), branch="+")
-    if det_sign < -DET_SIGN_BAND:
-        return _verdict("fa_singular", _fa_singular_margin(arr, False), branch="-")
-    margin = max(_fa_singular_margin(arr, True), _fa_singular_margin(arr, False))
-    return _verdict("fa_singular", margin, branch="0")
-
-
-def _spectral_product(sp: Spectrum) -> float:
-    values = sp.non_unit_values()
-    return float(np.prod(values).real)
+    arr = _singular_triple(s)
+    positive, negative = _fa_singular_margin(arr, True), _fa_singular_margin(arr, False)
+    return _branch_verdict("fa_singular", det_sign, positive, negative)
 
 
 def theorem1(sp: Spectrum) -> CriterionVerdict:
@@ -122,23 +125,14 @@ def theorem1(sp: Spectrum) -> CriterionVerdict:
     """
     if sp.dim != 2:
         raise UnsupportedDimensionError(f"theorem1 needs a qubit spectrum, got dim {sp.dim}")
-    moduli = np.abs(sp.non_unit_values())
-    product = _spectral_product(sp)
-    if product >= 0.0:
-        margin = 1.0 - float(np.sum(moduli)) + 2.0 * float(np.min(moduli))
-        return _verdict("theorem1", margin, branch="+")
-    return _verdict("theorem1", 1.0 - float(np.sum(moduli)), branch="-")
+    positive = sp.non_unit_product() >= 0.0
+    margin = _fa_singular_margin(np.abs(sp.non_unit_values()), positive)
+    return _verdict("theorem1", margin, branch="+" if positive else "-")
 
 
 def real_tetrahedron(l1: float, l2: float, l3: float) -> CriterionVerdict:
     """Tetrahedron condition for all-real qubit eigenvalues."""
-    slacks = (
-        1.0 + l1 + l2 + l3,
-        1.0 + l1 - l2 - l3,
-        1.0 - l1 + l2 - l3,
-        1.0 - l1 - l2 + l3,
-    )
-    return _verdict("real_tetrahedron", min(slacks))
+    return _verdict("real_tetrahedron", min(_fa_slacks(l1, l2, l3)))
 
 
 def complex_pair_disc(x: float, z: complex) -> CriterionVerdict:
@@ -158,7 +152,7 @@ def det_range_check(sp: Spectrum) -> CriterionVerdict:
         raise UnsupportedDimensionError(
             f"det_range_check needs a qubit spectrum, got dim {sp.dim}"
         )
-    product = _spectral_product(sp)
+    product = sp.non_unit_product()
     return _verdict("det_range_check", min(product + 1.0 / 27.0, 1.0 - product))
 
 
@@ -172,7 +166,7 @@ def k_norm_bound(sp: Spectrum) -> float:
     if sp.dim != 2:
         raise UnsupportedDimensionError(f"k_norm_bound needs a qubit spectrum, got dim {sp.dim}")
     values = sp.non_unit_values()
-    return float(1.0 - np.sum(np.abs(values) ** 2) + 2.0 * _spectral_product(sp))
+    return float(1.0 - np.sum(np.abs(values) ** 2) + 2.0 * sp.non_unit_product())
 
 
 def z_condition(eta, k) -> CriterionVerdict:
@@ -194,18 +188,12 @@ def z_condition(eta, k) -> CriterionVerdict:
 def z_condition_singular(s, k, det_sign) -> CriterionVerdict:
     """Quartic condition in singular values and a determinant sign.
 
-    Positive branch: ``Z(s) >= 0``.  Negative branch: ``Z(s) - 16*det T >= 0``
-    with ``det T = -s1*s2*s3``.  At zero determinant both branches agree and
-    the larger margin is reported.
+    Positive branch: ``Z(s) >= 0``.  Negative branch: ``Z(s) + 16 det T >= 0``
+    with ``det T = -s1*s2*s3``, which is :func:`z_condition` at the signed
+    triple ``-s`` because ``q(-s) = q(s) - 16*s1*s2*s3``.  At zero determinant
+    both branches agree and the larger margin is reported.
     """
-    arr = _as_triple(s)
-    if np.any(np.diff(arr) > 0) or arr[2] < 0:
-        raise ValueError(f"singular values must be decreasing and nonnegative: {arr}")
+    arr = _singular_triple(s)
     base = z_condition(arr, k).margin
-    det_sign = float(det_sign)
-    negative_margin = base + 16.0 * float(np.prod(arr))
-    if det_sign > DET_SIGN_BAND:
-        return _verdict("z_condition_singular", base, branch="+")
-    if det_sign < -DET_SIGN_BAND:
-        return _verdict("z_condition_singular", negative_margin, branch="-")
-    return _verdict("z_condition_singular", max(base, negative_margin), branch="0")
+    negative = base - 16.0 * float(np.prod(arr))
+    return _branch_verdict("z_condition_singular", det_sign, base, negative)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import basis_change_matrix
+from .basis import basis_change_matrix, from_block, to_block
 from .channel import Superoperator
 from .exceptions import NumericsError, StructuralError
 from .spectra import spectrum
@@ -135,19 +135,13 @@ def apply_gauge(phi: Superoperator, x: GaugeTransform) -> Superoperator:
         raise StructuralError(f"dimension mismatch: {phi.dim} vs {x.dim}")
     if _is_identity(x.matrix):
         return phi
-    c = basis_change_matrix(phi.dim)
-    block = c.conj().T @ phi.matrix @ c
-    conjugated = _block_inverse(x.matrix) @ block @ x.matrix
-    return Superoperator(dim=phi.dim, matrix=c @ conjugated @ c.conj().T)
+    conjugated = _block_inverse(x.matrix) @ to_block(phi.matrix, phi.dim) @ x.matrix
+    return Superoperator(dim=phi.dim, matrix=from_block(conjugated, phi.dim))
 
 
 def block_first_row_deviation(phi: Superoperator) -> float:
     """Deviation of the channel's block-form first row from (1, 0, ..., 0)."""
-    c = basis_change_matrix(phi.dim)
-    block = c.conj().T @ phi.matrix @ c
-    target = np.zeros(phi.dim**2)
-    target[0] = 1.0
-    return float(np.max(np.abs(block[0] - target)))
+    return float(np.max(np.abs(to_block(phi.matrix, phi.dim)[0] - np.eye(phi.dim**2)[0])))
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import KrausSet, Superoperator, TransferMatrix, superoperator_to_transfer
+from .channel import KrausSet, Superoperator, TransferMatrix
+from .channel import kraus_to_superoperator, superoperator_to_transfer
 from .exceptions import StructuralError
 from .spectra import Spectrum, spectrum
 
@@ -23,28 +24,33 @@ class MonteCarloEstimate:
     std_error: float
 
 
+def _fidelity_from_trace(trace: complex, d: int, name: str) -> float:
+    if abs(trace.imag) > TRACE_IMAG_ATOL * max(1.0, abs(trace.real)):
+        raise StructuralError(f"{name} has imaginary residue {trace.imag:.3e}")
+    return (trace.real + d) / (d * (d + 1))
+
+
 def avg_gate_fidelity(phi: Superoperator) -> float:
     """Average gate fidelity ``(Tr Phi + d) / (d (d + 1))`` of a TP channel."""
-    trace = complex(np.trace(phi.matrix))
-    if abs(trace.imag) > TRACE_IMAG_ATOL * max(1.0, abs(trace.real)):
-        raise StructuralError(f"superoperator trace has imaginary residue {trace.imag:.3e}")
-    d = phi.dim
-    return (trace.real + d) / (d * (d + 1))
+    return _fidelity_from_trace(complex(np.trace(phi.matrix)), phi.dim, "superoperator trace")
 
 
 def avg_gate_fidelity_from_spectrum(sp: Spectrum) -> float:
     """Same quantity from the eigenvalues alone (the trace is their sum)."""
-    total = complex(np.sum(sp.values))
-    if abs(total.imag) > TRACE_IMAG_ATOL * max(1.0, abs(total.real)):
-        raise StructuralError(f"eigenvalue sum has imaginary residue {total.imag:.3e}")
-    d = sp.dim
-    return (total.real + d) / (d * (d + 1))
+    return _fidelity_from_trace(complex(np.sum(sp.values)), sp.dim, "eigenvalue sum")
 
 
 def haar_pure_states(dim: int, n: int, rng: np.random.Generator) -> np.ndarray:
     """(n, dim) array of Haar-random pure state vectors."""
     vecs = rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim))
     return vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
+
+
+def _summary(samples: np.ndarray) -> MonteCarloEstimate:
+    return MonteCarloEstimate(
+        estimate=float(np.mean(samples)),
+        std_error=float(np.std(samples, ddof=1) / np.sqrt(len(samples))),
+    )
 
 
 def mc_avg_gate_fidelity(ks: KrausSet, n: int, seed: int) -> MonteCarloEstimate:
@@ -57,10 +63,7 @@ def mc_avg_gate_fidelity(ks: KrausSet, n: int, seed: int) -> MonteCarloEstimate:
     for k in ks.operators:
         amplitudes = np.einsum("ni,ij,nj->n", states.conj(), k, states)
         samples += np.abs(amplitudes) ** 2
-    return MonteCarloEstimate(
-        estimate=float(np.mean(samples)),
-        std_error=float(np.std(samples, ddof=1) / np.sqrt(n)),
-    )
+    return _summary(samples)
 
 
 def unitarity_exact(tm: TransferMatrix) -> float:
@@ -88,14 +91,8 @@ def mc_unitarity(ks: KrausSet, n: int, seed: int) -> MonteCarloEstimate:
     states = haar_pure_states(d, n, rng)
     projectors = np.einsum("ni,nj->nij", states, states.conj())
     traceless = projectors - np.eye(d) / d
-    image = np.zeros_like(traceless)
-    for k in ks.operators:
-        image += np.einsum("ij,njk,lk->nil", k, traceless, k.conj())
-    samples = (d / (d - 1)) * np.sum(np.abs(image) ** 2, axis=(1, 2))
-    return MonteCarloEstimate(
-        estimate=float(np.mean(samples)),
-        std_error=float(np.std(samples, ddof=1) / np.sqrt(n)),
-    )
+    image = traceless.reshape(n, d * d) @ kraus_to_superoperator(ks).matrix.T
+    return _summary((d / (d - 1)) * np.sum(np.abs(image) ** 2, axis=1))
 
 
 def unitarity_lower_from_r(r: float, d: int) -> float:

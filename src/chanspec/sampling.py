@@ -3,6 +3,7 @@
 import numpy as np
 
 from .channel import KrausSet, TransferMatrix
+from .criteria import fa_conditions
 from .spectra import EtaTriple
 
 
@@ -45,14 +46,9 @@ def sample_fa_eta(rng: np.random.Generator) -> EtaTriple:
     constant fraction (one third) of the cube, so rejection is cheap.
     """
     while True:
-        e1, e2, e3 = rng.uniform(-1.0, 1.0, size=3)
-        if (
-            1.0 + e1 + e2 + e3 >= 0.0
-            and 1.0 + e1 - e2 - e3 >= 0.0
-            and 1.0 - e1 + e2 - e3 >= 0.0
-            and 1.0 - e1 - e2 + e3 >= 0.0
-        ):
-            return EtaTriple(float(e1), float(e2), float(e3))
+        e = rng.uniform(-1.0, 1.0, size=3)
+        if fa_conditions(e).margin >= 0.0:
+            return EtaTriple(*(float(v) for v in e))
 
 
 def unital_qubit_from_eta(eta: EtaTriple, o1=None, o2=None) -> TransferMatrix:

@@ -31,7 +31,12 @@ def matrix_to_pairs(matrix):
 
 
 def pairs_to_matrix(rows) -> np.ndarray:
-    return np.array([[complex(entry[0], entry[1]) for entry in row] for row in rows])
+    """Row-major matrix from a list of equal-length rows of ``[re, im]`` pairs."""
+    if not isinstance(rows, list) or not all(
+        isinstance(row, list) and len(row) == len(rows[0]) for row in rows
+    ):
+        raise StructuralError("a matrix must be a list of equal-length lists of [re, im] pairs")
+    return np.array([[_finite_pair(v, StructuralError, "matrix entries") for v in row] for row in rows])
 
 
 def channel_to_dict(channel) -> dict:
@@ -66,9 +71,11 @@ def channel_from_dict(payload: dict):
         dim = int(payload["dim"])
         fmt = payload["format"]
         data = payload["data"]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, OverflowError) as exc:
         raise StructuralError(f"malformed channel payload: missing {exc}") from exc
     if fmt == "kraus":
+        if not isinstance(data, list):
+            raise StructuralError("kraus data must be a list of matrices")
         operators = [pairs_to_matrix(rows) for rows in data]
         ks = KrausSet.from_operators(operators)
         if ks.dim != dim:
@@ -80,6 +87,8 @@ def channel_from_dict(payload: dict):
             raise StructuralError(f"declared dim {dim} but matrix implies dim {phi.dim}")
         return phi
     if fmt == "transfer":
+        if not isinstance(data, dict) or not all(isinstance(data.get(b), list) for b in "kT"):
+            raise StructuralError('transfer data must be an object holding lists "k" and "T"')
         tm = TransferMatrix.from_blocks(data["k"], data["T"])
         if tm.dim != dim:
             raise StructuralError(f"declared dim {dim} but blocks imply dim {tm.dim}")
@@ -98,8 +107,8 @@ def spectrum_to_dict(sp: Spectrum) -> dict:
     }
 
 
-def _finite_pair(entry) -> complex:
-    """One ``[re, im]`` spectrum entry; anything but two finite numbers is malformed."""
+def _finite_pair(entry, error=MalformedSpectrumError, what="spectrum entries") -> complex:
+    """One ``[re, im]`` entry; anything but two finite numbers raises ``error``."""
     if (
         isinstance(entry, (list, tuple))
         and len(entry) == 2
@@ -112,9 +121,7 @@ def _finite_pair(entry) -> complex:
         else:
             if cmath.isfinite(value):
                 return value
-    raise MalformedSpectrumError(
-        f"spectrum entries must be [re, im] pairs of finite numbers, got {entry!r}"
-    )
+    raise error(f"{what} must be [re, im] pairs of finite numbers, got {entry!r}")
 
 
 def spectrum_from_dict(payload: dict) -> Spectrum:
@@ -134,9 +141,12 @@ def spectrum_from_dict(payload: dict) -> Spectrum:
 def load_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as handle:
         try:
-            return json.load(handle)
+            payload = json.load(handle)
         except json.JSONDecodeError as exc:
             raise StructuralError(f"invalid JSON in {path}: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise StructuralError(f"{path} must hold a JSON object")
+    return payload
 
 
 def _format_number(value) -> str:

@@ -33,6 +33,10 @@ class Spectrum:
         """The eigenvalues with the designated unit eigenvalue removed."""
         return np.delete(self.values, self.unit_index)
 
+    def non_unit_product(self) -> float:
+        """Real part of the product of the non-unit eigenvalues (``det T`` for a channel)."""
+        return float(np.prod(self.non_unit_values()).real)
+
     def moduli_decreasing(self) -> np.ndarray:
         """Moduli of the non-unit eigenvalues, sorted decreasing."""
         return np.sort(np.abs(self.non_unit_values()))[::-1]

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .criteria import fa_singular, k_norm_bound, z_condition_singular
+from .criteria import VERDICT_ATOL, fa_singular, k_norm_bound, z_condition_singular
 from .exceptions import UnsupportedDimensionError
 from .spectra import SingularTriple, Spectrum
 
@@ -46,10 +46,10 @@ def z_feasibility(sp: Spectrum) -> ZFeasibilityResult:
       largest at ``s = m``, where FA is the :func:`~chanspec.criteria.theorem1`
       margin (up to the ``DET_SIGN_BAND`` reading of the determinant sign).
       No witness beats that margin.
-    * When FA holds at ``m``, all four factors of the quartic product
-      ``q(m)`` are nonnegative, and the negative branch only adds
-      ``16 * prod(m) >= 0``.  So the seed margin is nonnegative, and the
-      Pauli-diagonal channel ``diag(+-m)`` realizes the witness.
+    * When FA holds at ``m``, the quartic product, ``q(m)`` or on the negative
+      branch ``q(-m) = q(m) - 16 * prod(m)``, has the FA slacks of ``+-m`` as
+      its four factors, all nonnegative.  So the seed margin is nonnegative,
+      and the Pauli-diagonal channel ``diag(+-m)`` realizes the witness.
 
     ``best_margin`` is the seed's joint margin.  A witness with a larger
     quartic term can exceed it, but never the seed's FA term, so the verdict
@@ -61,7 +61,7 @@ def z_feasibility(sp: Spectrum) -> ZFeasibilityResult:
         raise UnsupportedDimensionError(f"z_feasibility needs a qubit spectrum, got dim {sp.dim}")
 
     bound = k_norm_bound(sp)
-    if bound < -1e-12:
+    if bound < -VERDICT_ATOL:
         return ZFeasibilityResult(
             feasible=False,
             best_margin=float(bound),
@@ -70,7 +70,7 @@ def z_feasibility(sp: Spectrum) -> ZFeasibilityResult:
         )
 
     moduli = sp.moduli_decreasing()
-    product = float(np.prod(sp.non_unit_values()).real)
+    product = sp.non_unit_product()
     k = np.zeros(3)
     margin = min(
         fa_singular(moduli, product).margin,

@@ -95,6 +95,69 @@ class TestAnalyze:
         assert "note" in report["criteria"]
 
 
+KRAUS_IDENTITY = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
+
+
+@pytest.mark.parametrize(
+    "command, payload",
+    [
+        ("analyze", {"dim": 2, "format": "transfer", "data": [1, 2]}),
+        ("analyze", {"dim": 2, "format": "transfer", "data": {"k": 5, "T": [[1.0]]}}),
+        ("analyze", {"dim": 2, "format": "transfer", "data": {"k": [[0.0] * 3] * 3, "T": {}}}),
+        ("analyze", {"dim": 2, "format": "transfer", "data": {"k": [[0.0] * 3] * 3, "T": [[0.0] * 3] * 3}}),
+        ("analyze", {"dim": 2, "format": "kraus", "data": [[1, 2]]}),
+        ("analyze", {"dim": 2, "format": "kraus", "data": 5}),
+        ("analyze", {"dim": 2, "format": "kraus", "data": [[[[1], [0, 0]], [[0, 0], [1, 0]]]]}),
+        ("analyze", {"dim": 2, "format": "kraus", "data": [[[1, 0], [0, 0]], [[0, 0]]]}),
+        ("analyze", {"dim": 2, "format": "superoperator", "data": "x"}),
+        ("analyze", {"dim": float("inf"), "format": "kraus", "data": [KRAUS_IDENTITY]}),
+        ("analyze", 5),
+        ("gauge", {"dim": 2, "format": "transfer", "data": [1, 2]}),
+        ("gauge", {"dim": 2, "format": "kraus", "data": [[1, 2]]}),
+        ("gauge", {"dim": 2, "format": "superoperator", "data": "x"}),
+        ("gauge", {"dim": 2, "format": "kraus", "data": [[[[1], [0, 0]], [[0, 0], [1, 0]]]]}),
+        ("synthesize", {"x": 0.2, "z": 5}),
+        ("synthesize", {"x": 0.2, "z": [0.1]}),
+        ("synthesize", 5),
+    ],
+)
+def test_malformed_payload_exits_1(tmp_path, capsys, command, payload):
+    path = tmp_path / "payload.json"
+    path.write_text(json.dumps(payload))
+    argv = ["gauge", "--gates", str(path)] if command == "gauge" else [command, str(path)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze"],
+        ["sample", "--n", "abc"],
+        ["no-such-command"],
+        [],
+        ["region", "--x", "0.4", "--seed", "1"],
+        ["analyze", "spec.json", "--seed", "1"],
+        ["sample", "--n", "3", "--tol", "1e-9"],
+    ],
+)
+def test_usage_error_exits_1(capsys, argv):
+    # exit 2 means "CP refuted"; a malformed command line is an input error
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--help"])
+    assert exc.value.code == 0
+    assert "--tol" in capsys.readouterr().out
+
+
 class TestSynthesize:
     def test_complex_pair(self, tmp_path):
         spec = tmp_path / "target.json"

@@ -107,6 +107,21 @@ class TestUnitarity:
             mc = cs.mc_unitarity(ks, 100_000, seed=seed + 1)
             assert abs(mc.estimate - exact) <= 3 * mc.std_error + 1e-12, seed
 
+    @pytest.mark.parametrize("d, rank", [(2, 1), (2, 4), (3, 2), (4, 3)])
+    def test_mc_matches_kraus_action_reference(self, d, rank):
+        # reference: the Kraus action K rho K^dag on the same Haar draws; only
+        # the order of the sums differs, so the estimates agree to rounding
+        n = 2_000
+        for seed in range(3):
+            ks = cs.sample_cptp(d, rank, seed)
+            states = cs.metrics.haar_pure_states(d, n, np.random.default_rng(seed))
+            traceless = np.einsum("ni,nj->nij", states, states.conj()) - np.eye(d) / d
+            image = sum(k @ traceless @ k.conj().T for k in ks.operators)
+            samples = d / (d - 1) * np.sum(np.abs(image) ** 2, axis=(1, 2))
+            est = cs.mc_unitarity(ks, n, seed)
+            assert est.estimate == pytest.approx(np.mean(samples), abs=1e-15)
+            assert est.std_error == pytest.approx(np.std(samples, ddof=1) / np.sqrt(n), abs=1e-17)
+
 
 class TestUnitarityBounds:
     def test_zero_error_rate(self):
