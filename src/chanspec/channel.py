@@ -14,6 +14,7 @@ forms:
 All values are immutable after construction and safe to share across threads.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,24 +65,12 @@ class KrausSet:
         ops = [np.asarray(k, dtype=complex) for k in operators]
         if not ops:
             raise StructuralError("Kraus set must contain at least one operator")
-        dim = ops[0].shape[0] if ops[0].ndim == 2 else 0
-        for k in ops:
-            if k.ndim != 2 or k.shape != (dim, dim):
-                raise StructuralError(
-                    f"Kraus operators must all be {dim}x{dim}, got shape {k.shape}"
-                )
-            _require_finite(k, "Kraus operator")
-        if len(ops) > dim * dim:
+        if any(k.shape != ops[0].shape for k in ops):
             raise StructuralError(
-                f"at most d**2 = {dim * dim} Kraus operators allowed, got {len(ops)}"
+                f"Kraus operators must share one shape, got {[k.shape for k in ops]}"
             )
-        completeness = sum(k.conj().T @ k for k in ops)
-        deviation = np.max(np.abs(completeness - np.eye(dim)))
-        if deviation > atol:
-            raise NotTracePreservingError(
-                f"sum K^dag K deviates from identity by {deviation:.3e} (atol {atol:.1e})"
-            )
-        return cls(dim=dim, operators=tuple(_frozen(k) for k in ops))
+        stack = check_kraus_stack(np.stack(ops), atol)
+        return cls(dim=stack.shape[-1], operators=tuple(_frozen(k) for k in stack))
 
 
 @dataclass(frozen=True)
@@ -110,8 +99,7 @@ class Superoperator:
         return (self.matrix @ rho.reshape(-1)).reshape(self.dim, self.dim)
 
     def is_trace_preserving(self, atol: float = SUPEROP_TP_ATOL) -> bool:
-        vec_id = np.eye(self.dim, dtype=complex).reshape(-1)
-        return bool(np.max(np.abs(vec_id @ self.matrix - vec_id)) <= atol)
+        return bool(trace_preservation_deviation(self.matrix) <= atol)
 
 
 @dataclass(frozen=True)
@@ -130,8 +118,15 @@ class TransferMatrix:
 
     @classmethod
     def from_blocks(cls, translation, bloch_map, dim=None) -> "TransferMatrix":
-        k = np.asarray(translation, dtype=float)
-        t = np.asarray(bloch_map, dtype=float)
+        try:
+            k, t = np.asarray(translation), np.asarray(bloch_map)
+        except ValueError as exc:  # nested lists of unequal lengths
+            raise StructuralError(f"transfer blocks must be regular arrays: {exc}") from exc
+        if k.dtype.kind not in "iuf" or t.dtype.kind not in "iuf":
+            raise StructuralError(
+                f"transfer blocks must hold real numbers, got {k.dtype} and {t.dtype}"
+            )
+        k, t = k.astype(float), t.astype(float)
         if k.ndim != 1:
             raise StructuralError(f"translation must be a vector, got shape {k.shape}")
         n = k.shape[0]
@@ -178,46 +173,124 @@ class CPReport:
     tol: float
 
 
-def kraus_to_superoperator(ks: KrausSet) -> Superoperator:
-    """Build ``sum_n K_n (x) conj(K_n)`` acting on row-major vectorizations."""
-    matrix = sum(np.kron(k, k.conj()) for k in ks.operators)
-    phi = Superoperator(dim=ks.dim, matrix=_frozen(matrix))
-    if not phi.is_trace_preserving():
+def check_kraus_stack(operators, atol: float = KRAUS_TP_ATOL) -> np.ndarray:
+    """Validate Kraus sets stacked as ``(..., r, d, d)``; return them as a complex array.
+
+    Raises
+    ------
+    StructuralError
+        If the operators are not square, a set is empty or longer than
+        ``d**2``, or an entry is not finite.
+    NotTracePreservingError
+        If ``sum K^dag K`` of some set deviates from the identity by more
+        than ``atol`` in any entry (the message gives the largest deviation).
+    """
+    ops = np.asarray(operators, dtype=complex)
+    if ops.ndim < 3 or ops.shape[-3] == 0 or ops.shape[-1] != ops.shape[-2]:
+        raise StructuralError(
+            f"Kraus sets must be non-empty stacks of square matrices, got shape {ops.shape}"
+        )
+    _require_finite(ops, "Kraus operator")
+    rank, dim = ops.shape[-3], ops.shape[-1]
+    if rank > dim * dim:
+        raise StructuralError(f"at most d**2 = {dim * dim} Kraus operators allowed, got {rank}")
+    completeness = (ops.conj().swapaxes(-1, -2) @ ops).sum(axis=-3)
+    deviation = np.max(np.abs(completeness - np.eye(dim)))
+    if deviation > atol:
+        raise NotTracePreservingError(
+            f"sum K^dag K deviates from identity by {deviation:.3e} (atol {atol:.1e})"
+        )
+    return ops
+
+
+def trace_preservation_deviation(matrices: np.ndarray) -> np.ndarray:
+    """Per superoperator matrix of a stack, ``max |vec(1) M - vec(1)|``."""
+    dim = math.isqrt(matrices.shape[-1])
+    vec_id = np.eye(dim, dtype=complex).reshape(-1)
+    return np.abs(vec_id @ matrices - vec_id).max(axis=-1)
+
+
+def kraus_to_superoperator_stack(kraus: np.ndarray) -> np.ndarray:
+    """``sum_n K_n (x) conj(K_n)`` of each Kraus set in a ``(..., r, d, d)`` stack.
+
+    Entry ``[(i, k), (j, l)]`` of a term is ``K[i, j] conj(K[k, l])``.  The
+    terms are added one at a time in Kraus order, so no array holds all of
+    them at once.
+
+    Raises
+    ------
+    NotTracePreservingError
+        If some result fails the trace-preservation check.
+    """
+    terms = (
+        k[..., :, None, :, None] * k[..., None, :, None, :].conj()
+        for k in np.moveaxis(kraus, -3, 0)
+    )
+    total = next(terms)
+    for term in terms:
+        total += term
+    dim = kraus.shape[-1]
+    matrices = total.reshape(*kraus.shape[:-3], dim * dim, dim * dim)
+    if np.any(trace_preservation_deviation(matrices) > SUPEROP_TP_ATOL):
         raise NotTracePreservingError(
             "superoperator built from Kraus set fails the trace-preservation check"
         )
-    return phi
+    return matrices
+
+
+def kraus_to_superoperator(ks: KrausSet) -> Superoperator:
+    """Build ``sum_n K_n (x) conj(K_n)`` acting on row-major vectorizations."""
+    matrix = kraus_to_superoperator_stack(np.stack(ks.operators))
+    return Superoperator(dim=ks.dim, matrix=_frozen(matrix))
+
+
+def first_row_deviation(blocks: np.ndarray) -> np.ndarray:
+    """Per block form of a stack, the deviation of its first row from (1, 0, ..., 0)."""
+    return np.abs(blocks[..., 0, :] - np.eye(blocks.shape[-1])[0]).max(axis=-1)
+
+
+def superoperator_to_transfer_stack(matrices: np.ndarray) -> np.ndarray:
+    """Real block forms of a stack of superoperator matrices, first rows set to (1, 0, ..., 0).
+
+    Entry ``(i, j)`` of a block form is ``Tr[B_i^dag E(B_j)]``; column 0
+    below the first row is the translation ``k`` and the lower-right block
+    the Bloch map ``T``.
+
+    Raises
+    ------
+    NotTracePreservingError
+        If some first row deviates from (1, 0, ..., 0) by more than 1e-8.
+    NonHermitianImageError
+        If some block form has imaginary residue above 1e-8 (the map does
+        not send Hermitian operators to Hermitian operators).
+    """
+    n = matrices.shape[-1]
+    block = to_block(matrices, math.isqrt(n))
+    first_row_dev = first_row_deviation(block).max()
+    if first_row_dev > TRANSFER_ROW_ATOL:
+        raise NotTracePreservingError(
+            f"first block row deviates from (1, 0, ...) by {first_row_dev:.3e}"
+        )
+    imag_residue = np.abs(block.imag).max()
+    if imag_residue > TRANSFER_IMAG_ATOL:
+        raise NonHermitianImageError(
+            f"block form has imaginary residue {imag_residue:.3e}"
+        )
+    full = block.real.copy()
+    full[..., 0, :] = np.eye(n)[0]
+    return full
 
 
 def superoperator_to_transfer(phi: Superoperator) -> TransferMatrix:
     """Move to the real block form in the fixed Hermitian basis.
 
-    Entry ``(i, j)`` of the full block matrix is ``Tr[B_i^dag E(B_j)]``.
-
-    Raises
-    ------
-    NotTracePreservingError
-        If the first row deviates from (1, 0, ..., 0) by more than 1e-8.
-    NonHermitianImageError
-        If the block matrix has imaginary residue above 1e-8 (the map does
-        not send Hermitian operators to Hermitian operators).
+    Raises the errors of :func:`superoperator_to_transfer_stack`.
     """
-    block = to_block(phi.matrix, phi.dim)
-    first_row_dev = np.max(np.abs(block[0] - np.eye(phi.dim**2)[0]))
-    if first_row_dev > TRANSFER_ROW_ATOL:
-        raise NotTracePreservingError(
-            f"first block row deviates from (1, 0, ...) by {first_row_dev:.3e}"
-        )
-    imag_residue = np.max(np.abs(block.imag))
-    if imag_residue > TRANSFER_IMAG_ATOL:
-        raise NonHermitianImageError(
-            f"block form has imaginary residue {imag_residue:.3e}"
-        )
-    real = block.real
+    full = superoperator_to_transfer_stack(phi.matrix)
     return TransferMatrix(
         dim=phi.dim,
-        translation=_frozen(real[1:, 0]),
-        bloch_map=_frozen(real[1:, 1:]),
+        translation=_frozen(full[1:, 0]),
+        bloch_map=_frozen(full[1:, 1:]),
         basis_id=basis_id(phi.dim),
     )
 

@@ -20,12 +20,22 @@ from .channel import (
     KrausSet,
     Superoperator,
     TransferMatrix,
+    check_kraus_stack,
     is_completely_positive,
     kraus_to_superoperator,
+    kraus_to_superoperator_stack,
     superoperator_to_transfer,
+    superoperator_to_transfer_stack,
     transfer_to_superoperator,
 )
-from .criteria import VERDICT_ATOL, complex_pair_disc, det_range_check, k_norm_bound, theorem1
+from .criteria import (
+    VERDICT_ATOL,
+    complex_pair_disc,
+    det_range_check,
+    k_norm_bound,
+    qubit_criteria_stack,
+    theorem1,
+)
 from .exceptions import ChanspecError, NotRealizableError, StructuralError
 from .gauge import (
     GaugeTransform,
@@ -35,8 +45,16 @@ from .gauge import (
     verify_orbit_invariance,
 )
 from .metrics import metrics_from_spectrum, unitarity_exact
-from .sampling import sample_cptp
-from .spectra import AllReal, ConjugatePair, classify_qubit_spectrum, spectrum
+from .sampling import sample_cptp_stack
+from .spectra import (
+    AllReal,
+    ConjugatePair,
+    classify_qubit_spectrum,
+    eigenvalues_stack,
+    non_unit_stack,
+    spectrum,
+    unit_gap_stack,
+)
 from .synthesis import synthesize_from_complex_pair, xi_from_real_spectrum
 from .zfeas import z_feasibility
 
@@ -45,6 +63,9 @@ EXIT_STRUCTURAL = 1
 EXIT_REFUTED = 2
 
 K_NORM_SLACK = 1e-9  # squared translation norm of a channel over its spectral bound
+# channels per stacked pass of `sample`, so its arrays do not grow with --n; above
+# d = 4 a pass holds at most as many superoperator entries as 64 channels at d = 4
+SAMPLE_BLOCK = 64
 
 
 def _to_superoperator(channel) -> Superoperator:
@@ -208,31 +229,43 @@ def cmd_region(args) -> int:
     return EXIT_OK
 
 
+def _sample_block(d: int, rank: int, seeds) -> dict:
+    """Per-channel columns of the ``sample`` report for one block of seeds."""
+    kraus = check_kraus_stack(sample_cptp_stack(d, rank, seeds))
+    full = superoperator_to_transfer_stack(kraus_to_superoperator_stack(kraus))
+    values = eigenvalues_stack(full)
+    unit_index, gap, _ = unit_gap_stack(values)
+    columns = {"gap": gap, "det_T": np.linalg.det(full[:, 1:, 1:])}
+    if d == 2:
+        non_unit = non_unit_stack(values, unit_index)
+        translation = full[:, 1:, None, 0]
+        # a product as `k @ k` forms it (not a sum of squares), to the last bit
+        k_norm_sq = (translation.swapaxes(-1, -2) @ translation)[:, 0, 0]
+        theorem1_margin, det_margin, bound = qubit_criteria_stack(non_unit)
+        columns["theorem1"] = theorem1_margin >= -VERDICT_ATOL
+        columns["det_range"] = det_margin >= -VERDICT_ATOL
+        columns["k_norm_bound"] = k_norm_sq <= bound + K_NORM_SLACK
+    return columns
+
+
 def cmd_sample(args) -> int:
     if args.n < 1:
         raise ChanspecError(f"n must be >= 1, got {args.n}")
-    gaps = []
-    subleading = []
-    dets = []
-    pass_counts = {"theorem1": 0, "det_range": 0, "k_norm_bound": 0}
-    for i in range(args.n):
-        ks = sample_cptp(args.d, args.rank, args.seed + i)
-        phi = kraus_to_superoperator(ks)
-        tm = superoperator_to_transfer(phi)
-        sp = spectrum(tm)
-        gaps.append(sp.gap)
-        subleading.append(1.0 - sp.gap)
-        dets.append(float(np.linalg.det(tm.bloch_map)))
-        if args.d == 2:
-            if theorem1(sp).satisfied:
-                pass_counts["theorem1"] += 1
-            if det_range_check(sp).satisfied:
-                pass_counts["det_range"] += 1
-            actual = float(tm.translation @ tm.translation)
-            if actual <= k_norm_bound(sp) + K_NORM_SLACK:
-                pass_counts["k_norm_bound"] += 1
-    gap_hist, gap_edges = np.histogram(gaps, bins=20, range=(0.0, 1.0))
-    det_hist, det_edges = np.histogram(dets, bins=20)
+    end = args.seed + args.n
+    step = max(1, SAMPLE_BLOCK * 4**4 // max(args.d, 4) ** 4)
+    blocks = [
+        _sample_block(args.d, args.rank, range(start, min(start + step, end)))
+        for start in range(args.seed, end, step)
+    ]
+    columns = {key: np.concatenate([block[key] for block in blocks]) for key in blocks[0]}
+    gaps, dets = columns["gap"], columns["det_T"]
+    # a unitary channel's gap can round to just below 0: count it in the first bin
+    gap_hist, gap_edges = np.histogram(np.clip(gaps, 0.0, 1.0), bins=20, range=(0.0, 1.0))
+    try:
+        det_hist, det_edges = np.histogram(dets, bins=20)
+    except ValueError:  # 20 finite bins do not fit: widen as numpy does for equal values
+        det_range = (np.min(dets) - 0.5, np.max(dets) + 0.5)
+        det_hist, det_edges = np.histogram(dets, bins=20, range=det_range)
     report = {
         "n": args.n,
         "dim": args.d,
@@ -243,7 +276,7 @@ def cmd_sample(args) -> int:
             "histogram": [int(c) for c in gap_hist],
             "bin_edges": [float(e) for e in gap_edges],
         },
-        "mean_subleading_modulus": float(np.mean(subleading)),
+        "mean_subleading_modulus": float(np.mean(1.0 - gaps)),
         "det_T": {
             "min": float(np.min(dets)),
             "max": float(np.max(dets)),
@@ -253,7 +286,8 @@ def cmd_sample(args) -> int:
     }
     if args.d == 2:
         report["criteria_pass_rates"] = {
-            name: count / args.n for name, count in pass_counts.items()
+            name: int(np.count_nonzero(columns[name])) / args.n
+            for name in ("theorem1", "det_range", "k_norm_bound")
         }
     serialize.write_text(serialize.dumps(report), args.out)
     return EXIT_OK

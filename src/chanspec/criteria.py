@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import UnsupportedDimensionError
-from .spectra import EtaTriple, SingularTriple, Spectrum
+from .spectra import EtaTriple, SingularTriple, Spectrum, non_unit_product_stack
 
 VERDICT_ATOL = 1e-12
 DET_SIGN_BAND = 1e-12
@@ -95,11 +95,10 @@ def _branch_verdict(criterion, det_sign, positive, negative) -> CriterionVerdict
     return _verdict(criterion, max(positive, negative), branch="0")
 
 
-def _fa_singular_margin(s: np.ndarray, positive_branch: bool) -> float:
-    total = float(np.sum(s))
-    if positive_branch:
-        return 1.0 - total + 2.0 * float(np.min(s))
-    return 1.0 - total
+def _fa_singular_margin(s: np.ndarray, positive_branch) -> np.ndarray:
+    """FA margin of each triple in ``(..., 3)``; ``positive_branch`` picks the branch per triple."""
+    total = np.sum(s, axis=-1)
+    return np.where(positive_branch, 1.0 - total + 2.0 * np.min(s, axis=-1), 1.0 - total)
 
 
 def fa_singular(s, det_sign) -> CriterionVerdict:
@@ -111,8 +110,15 @@ def fa_singular(s, det_sign) -> CriterionVerdict:
     larger margin is reported.
     """
     arr = _singular_triple(s)
-    positive, negative = _fa_singular_margin(arr, True), _fa_singular_margin(arr, False)
+    positive = float(_fa_singular_margin(arr, True))
+    negative = float(_fa_singular_margin(arr, False))
     return _branch_verdict("fa_singular", det_sign, positive, negative)
+
+
+def _theorem1_margin(non_unit: np.ndarray):
+    """:func:`theorem1` margin and branch (True for ``+``) of each row of non-unit eigenvalues."""
+    positive = non_unit_product_stack(non_unit) >= 0.0
+    return _fa_singular_margin(np.abs(non_unit), positive), positive
 
 
 def theorem1(sp: Spectrum) -> CriterionVerdict:
@@ -125,8 +131,7 @@ def theorem1(sp: Spectrum) -> CriterionVerdict:
     """
     if sp.dim != 2:
         raise UnsupportedDimensionError(f"theorem1 needs a qubit spectrum, got dim {sp.dim}")
-    positive = sp.non_unit_product() >= 0.0
-    margin = _fa_singular_margin(np.abs(sp.non_unit_values()), positive)
+    margin, positive = _theorem1_margin(sp.non_unit_values())
     return _verdict("theorem1", margin, branch="+" if positive else "-")
 
 
@@ -146,14 +151,25 @@ def complex_pair_disc(x: float, z: complex) -> CriterionVerdict:
     return _verdict("complex_pair_disc", (1.0 + x) / 2.0 - abs(z))
 
 
+def _det_range_margin(non_unit: np.ndarray) -> np.ndarray:
+    """:func:`det_range_check` margin of each row of ``(..., 3)`` non-unit eigenvalues."""
+    product = non_unit_product_stack(non_unit)
+    return np.minimum(product + 1.0 / 27.0, 1.0 - product)
+
+
 def det_range_check(sp: Spectrum) -> CriterionVerdict:
     """Product of the non-unit eigenvalues must lie in ``[-1/27, 1]``."""
     if sp.dim != 2:
         raise UnsupportedDimensionError(
             f"det_range_check needs a qubit spectrum, got dim {sp.dim}"
         )
-    product = sp.non_unit_product()
-    return _verdict("det_range_check", min(product + 1.0 / 27.0, 1.0 - product))
+    return _verdict("det_range_check", _det_range_margin(sp.non_unit_values()))
+
+
+def _k_norm_bound(non_unit: np.ndarray) -> np.ndarray:
+    """:func:`k_norm_bound` of each row of ``(..., 3)`` non-unit eigenvalues."""
+    squares = np.sum(np.abs(non_unit) ** 2, axis=-1)
+    return 1.0 - squares + 2.0 * non_unit_product_stack(non_unit)
 
 
 def k_norm_bound(sp: Spectrum) -> float:
@@ -165,8 +181,17 @@ def k_norm_bound(sp: Spectrum) -> float:
     """
     if sp.dim != 2:
         raise UnsupportedDimensionError(f"k_norm_bound needs a qubit spectrum, got dim {sp.dim}")
-    values = sp.non_unit_values()
-    return float(1.0 - np.sum(np.abs(values) ** 2) + 2.0 * sp.non_unit_product())
+    return float(_k_norm_bound(sp.non_unit_values()))
+
+
+def qubit_criteria_stack(non_unit: np.ndarray):
+    """``theorem1`` margin, ``det_range_check`` margin and ``k_norm_bound`` of each row of
+    ``(..., 3)`` non-unit qubit eigenvalues.
+
+    The scalar functions are the one-spectrum case, each computed by the
+    same private helper, so a scalar call stays a single call of this layer.
+    """
+    return _theorem1_margin(non_unit)[0], _det_range_margin(non_unit), _k_norm_bound(non_unit)
 
 
 def z_condition(eta, k) -> CriterionVerdict:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import basis_change_matrix, from_block, to_block
-from .channel import Superoperator
+from .channel import Superoperator, first_row_deviation
 from .exceptions import NumericsError, StructuralError
 from .spectra import spectrum
 
@@ -141,7 +141,7 @@ def apply_gauge(phi: Superoperator, x: GaugeTransform) -> Superoperator:
 
 def block_first_row_deviation(phi: Superoperator) -> float:
     """Deviation of the channel's block-form first row from (1, 0, ..., 0)."""
-    return float(np.max(np.abs(to_block(phi.matrix, phi.dim)[0] - np.eye(phi.dim**2)[0])))
+    return float(first_row_deviation(to_block(phi.matrix, phi.dim)))
 
 
 @dataclass(frozen=True)

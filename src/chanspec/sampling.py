@@ -7,14 +7,6 @@ from .criteria import fa_conditions
 from .spectra import EtaTriple
 
 
-def haar_isometry(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-random isometry (rows >= cols) with V^dag V = identity."""
-    z = (rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    phases = np.diag(r) / np.abs(np.diag(r))
-    return q * phases
-
-
 def haar_rotation_3d(rng: np.random.Generator) -> np.ndarray:
     """Haar-random element of SO(3)."""
     q, r = np.linalg.qr(rng.standard_normal((3, 3)))
@@ -24,18 +16,36 @@ def haar_rotation_3d(rng: np.random.Generator) -> np.ndarray:
     return q
 
 
+def sample_cptp_stack(d: int, kraus_rank: int, seeds) -> np.ndarray:
+    """Kraus operators of one random CPTP channel per seed, as ``(len(seeds), r, d, d)``.
+
+    The operators are the ``d x d`` blocks of a Haar-random isometry, the Q
+    factor of a complex Gaussian matrix with its phases fixed by the diagonal
+    of R.  Each seed gets its own generator and draws the real part, then the
+    imaginary part, so a channel depends only on its seed.  The stack is not
+    validated; :func:`~chanspec.channel.check_kraus_stack` does that.
+    """
+    if not 1 <= kraus_rank <= d * d:
+        raise ValueError(f"kraus_rank must be in [1, {d * d}], got {kraus_rank}")
+    shape = (d * kraus_rank, d)
+    generators = map(np.random.default_rng, seeds)
+    gaussians = np.array(
+        [(rng.standard_normal(shape), rng.standard_normal(shape)) for rng in generators]
+    ).reshape(-1, 2, *shape)
+    z = (gaussians[:, 0] + 1j * gaussians[:, 1]) / np.sqrt(2.0)
+    q, r = np.linalg.qr(z)
+    diagonal = np.diagonal(r, axis1=-2, axis2=-1)
+    isometries = q * (diagonal / np.abs(diagonal))[:, None, :]
+    return isometries.reshape(len(z), kraus_rank, d, d)
+
+
 def sample_cptp(d: int, kraus_rank: int, seed: int) -> KrausSet:
-    """Random CPTP channel: Kraus operators are ``d x d`` blocks of a Haar isometry.
+    """Random CPTP channel: the one-seed case of :func:`sample_cptp_stack`.
 
     Deterministic for a fixed seed; the completeness relation holds to the
     KrausSet tolerance by construction.
     """
-    if not 1 <= kraus_rank <= d * d:
-        raise ValueError(f"kraus_rank must be in [1, {d * d}], got {kraus_rank}")
-    rng = np.random.default_rng(seed)
-    isometry = haar_isometry(d * kraus_rank, d, rng)
-    blocks = [isometry[i * d : (i + 1) * d, :] for i in range(kraus_rank)]
-    return KrausSet.from_operators(blocks)
+    return KrausSet.from_operators(sample_cptp_stack(d, kraus_rank, [seed])[0])
 
 
 def sample_fa_eta(rng: np.random.Generator) -> EtaTriple:

@@ -133,8 +133,15 @@ def spectrum_from_dict(payload: dict) -> Spectrum:
     if dim * dim != len(values):
         raise StructuralError(f"spectrum length {len(values)} is not a perfect square")
     declared = payload.get("dim")
-    if declared is not None and int(declared) != dim:
-        raise StructuralError(f"declared dim {declared} inconsistent with {len(values)} values")
+    if declared is not None:
+        try:
+            declared_dim = int(declared)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise MalformedSpectrumError(
+                f"declared dim must be a finite number, got {declared!r}"
+            ) from exc
+        if declared_dim != dim:
+            raise StructuralError(f"declared dim {declared} inconsistent with {len(values)} values")
     return build_spectrum(values, dim)
 
 

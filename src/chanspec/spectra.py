@@ -31,11 +31,11 @@ class Spectrum:
 
     def non_unit_values(self) -> np.ndarray:
         """The eigenvalues with the designated unit eigenvalue removed."""
-        return np.delete(self.values, self.unit_index)
+        return non_unit_stack(self.values, self.unit_index)
 
     def non_unit_product(self) -> float:
         """Real part of the product of the non-unit eigenvalues (``det T`` for a channel)."""
-        return float(np.prod(self.non_unit_values()).real)
+        return float(non_unit_product_stack(self.non_unit_values()))
 
     def moduli_decreasing(self) -> np.ndarray:
         """Moduli of the non-unit eigenvalues, sorted decreasing."""
@@ -102,38 +102,72 @@ class SingularTriple:
         return cls(float(s[0]), float(s[1]), float(s[2]))
 
 
+def eigenvalues_stack(matrices: np.ndarray) -> np.ndarray:
+    """Eigenvalues of each matrix in a ``(..., n, n)`` stack, as complex ``(..., n)``.
+
+    Uses the dense nonsymmetric eigensolver (balancing, Hessenberg reduction
+    and shifted QR, as provided by LAPACK).
+
+    Raises
+    ------
+    NumericsError
+        If the eigensolver fails on some matrix.
+    """
+    try:
+        return np.asarray(np.linalg.eigvals(matrices), dtype=complex)
+    except np.linalg.LinAlgError as exc:
+        raise NumericsError(f"eigensolver failed to converge: {exc}") from exc
+
+
+def non_unit_stack(values: np.ndarray, unit_index) -> np.ndarray:
+    """Each row of ``(..., n)`` eigenvalues without its entry at ``unit_index``, order kept."""
+    n = values.shape[-1]
+    keep = np.arange(n) != np.asarray(unit_index)[..., None]
+    return values[keep].reshape(*values.shape[:-1], n - 1)
+
+
+def non_unit_product_stack(non_unit: np.ndarray) -> np.ndarray:
+    """Real part of the product of each row of non-unit eigenvalues (``det T`` for a channel)."""
+    return non_unit.prod(axis=-1).real
+
+
+def unit_gap_stack(values: np.ndarray):
+    """Unit index, gap and flag of each row of ``(..., n)`` complex eigenvalues.
+
+    The unit index designates the eigenvalue closest to 1, the gap is one
+    minus the largest modulus among the others (0 when there are none), and
+    the flag is set when the designated eigenvalue lies more than 1e-6 from 1.
+    """
+    distance = np.abs(values - 1.0)
+    unit_index = distance.argmin(axis=-1)
+    rest = non_unit_stack(values, unit_index)
+    gap = 1.0 - np.abs(rest).max(axis=-1) if rest.shape[-1] else np.zeros(unit_index.shape)
+    return unit_index, gap, distance.min(axis=-1) > UNIT_EIGENVALUE_FLAG_TOL
+
+
 def build_spectrum(values, dim: int) -> Spectrum:
     """Assemble a :class:`Spectrum` from raw eigenvalues."""
-    values = np.asarray(values, dtype=complex)
-    unit_index = int(np.argmin(np.abs(values - 1.0)))
-    flagged = bool(np.abs(values[unit_index] - 1.0) > UNIT_EIGENVALUE_FLAG_TOL)
-    rest = np.delete(values, unit_index)
-    gap = 1.0 - float(np.max(np.abs(rest))) if rest.size else 0.0
-    frozen = values.copy()
-    frozen.setflags(write=False)
-    return Spectrum(dim=dim, values=frozen, unit_index=unit_index, gap=gap, flagged=flagged)
+    values = np.array(values, dtype=complex)
+    unit_index, gap, flagged = unit_gap_stack(values)
+    values.setflags(write=False)
+    return Spectrum(
+        dim=dim, values=values, unit_index=int(unit_index), gap=float(gap), flagged=bool(flagged)
+    )
 
 
 def spectrum(phi) -> Spectrum:
     """Eigenvalues of a channel in superoperator or block form.
 
-    Uses the dense nonsymmetric eigensolver (balancing, Hessenberg reduction
-    and shifted QR, as provided by LAPACK).  The block form gives the same
-    spectrum as the superoperator, so both inputs are accepted.
+    The block form gives the same spectrum as the superoperator, so both
+    inputs are accepted; see :func:`eigenvalues_stack`.
     """
     if isinstance(phi, TransferMatrix):
         matrix = phi.full_matrix()
-        dim = phi.dim
     elif isinstance(phi, Superoperator):
         matrix = phi.matrix
-        dim = phi.dim
     else:
         raise TypeError(f"expected Superoperator or TransferMatrix, got {type(phi)}")
-    try:
-        values = np.linalg.eigvals(matrix)
-    except np.linalg.LinAlgError as exc:
-        raise NumericsError(f"eigensolver failed to converge: {exc}") from exc
-    return build_spectrum(values, dim)
+    return build_spectrum(eigenvalues_stack(matrix), phi.dim)
 
 
 def conjugation_pairing(values, tol: float = CONJUGATION_PAIR_TOL):

@@ -96,6 +96,7 @@ class TestAnalyze:
 
 
 KRAUS_IDENTITY = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
+ZERO_T = [[0.0] * 3] * 3
 
 
 @pytest.mark.parametrize(
@@ -119,6 +120,11 @@ KRAUS_IDENTITY = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
         ("synthesize", {"x": 0.2, "z": 5}),
         ("synthesize", {"x": 0.2, "z": [0.1]}),
         ("synthesize", 5),
+        ("analyze", {"spectrum": [[1, 0], [1, 0], [1, 0], [1, 0]], "dim": [2]}),
+        ("analyze", {"spectrum": [[1, 0], [1, 0], [1, 0], [1, 0]], "dim": float("inf")}),
+        ("analyze", {"dim": 2, "format": "transfer", "data": {"k": [{"a": 1}, 0, 0], "T": ZERO_T}}),
+        ("analyze", {"dim": 2, "format": "transfer", "data": {"k": [10**400, 0, 0], "T": ZERO_T}}),
+        ("analyze", {"dim": 2, "format": "transfer", "data": {"k": ["0.5", 0, 0], "T": ZERO_T}}),
     ],
 )
 def test_malformed_payload_exits_1(tmp_path, capsys, command, payload):
@@ -265,6 +271,16 @@ class TestSample:
         assert main(["sample", "--n", "10", "--d", "3", "--rank", "2", "--out", str(out)]) == 0
         stats = json.loads(out.read_text())
         assert "criteria_pass_rates" not in stats
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_unitary_channels(self, tmp_path, d):
+        # det T of a unitary channel sits within a few ulps of 1 and its gap
+        # rounds to either side of 0: both histograms must still hold every channel
+        out = tmp_path / "stats.json"
+        assert main(["sample", "--n", "100", "--d", str(d), "--rank", "1", "--out", str(out)]) == 0
+        stats = json.loads(out.read_text())
+        assert sum(stats["gap"]["histogram"]) == 100
+        assert sum(stats["det_T"]["histogram"]) == 100
 
     def test_subleading_modulus_shrinks_with_dimension(self, tmp_path):
         # generic channels relax faster in higher dimension: the mean
