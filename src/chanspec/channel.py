@@ -304,6 +304,11 @@ def transfer_to_superoperator(tm: TransferMatrix) -> Superoperator:
     return Superoperator(dim=tm.dim, matrix=_frozen(from_block(tm.full_matrix(), tm.dim)))
 
 
+def _choi_stack(matrices: np.ndarray) -> np.ndarray:
+    d = math.isqrt(matrices.shape[-1])
+    return matrices.reshape(*matrices.shape[:-2], d, d, d, d).swapaxes(-3, -2).reshape(matrices.shape)
+
+
 def choi_matrix(phi: Superoperator) -> ChoiMatrix:
     """Reshuffle the superoperator into its Choi matrix.
 
@@ -312,9 +317,22 @@ def choi_matrix(phi: Superoperator) -> ChoiMatrix:
     channel is ``sum_n vec(K_n) vec(K_n)^dag`` and complete positivity is
     equivalent to positive semidefiniteness.
     """
-    d = phi.dim
-    c = phi.matrix.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
-    return ChoiMatrix(dim=d, matrix=_frozen(c))
+    return ChoiMatrix(dim=phi.dim, matrix=_frozen(_choi_stack(phi.matrix)))
+
+
+def _choi_min_eigenvalue(matrices: np.ndarray) -> np.ndarray:
+    choi = _choi_stack(matrices)
+    adjoint = choi.conj().swapaxes(-1, -2)
+    residue = np.abs(choi - adjoint).max(initial=0.0)
+    if residue > CHOI_HERMITICITY_ATOL:
+        raise StructuralError(f"Choi matrix not Hermitian: residue {residue:.3e}")
+    return np.linalg.eigvalsh((choi + adjoint) / 2.0)[..., 0]
+
+
+def choi_min_eigenvalue_stack(matrices: np.ndarray) -> np.ndarray:
+    """Smallest Choi eigenvalue of each superoperator in a ``(..., d**2, d**2)`` stack;
+    :func:`is_completely_positive` is the one-channel case, with the same errors."""
+    return _choi_min_eigenvalue(matrices)
 
 
 def is_completely_positive(phi: Superoperator, tol: float = None) -> CPReport:
@@ -336,12 +354,5 @@ def is_completely_positive(phi: Superoperator, tol: float = None) -> CPReport:
         tol = 1e-10 * phi.dim
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
-    choi = choi_matrix(phi).matrix
-    hermiticity = np.max(np.abs(choi - choi.conj().T))
-    if hermiticity > CHOI_HERMITICITY_ATOL:
-        raise StructuralError(
-            f"Choi matrix not Hermitian: residue {hermiticity:.3e}"
-        )
-    eigenvalues = np.linalg.eigvalsh((choi + choi.conj().T) / 2.0)
-    min_eig = float(eigenvalues[0])
+    min_eig = float(_choi_min_eigenvalue(phi.matrix))
     return CPReport(completely_positive=min_eig >= -tol, min_eigenvalue=min_eig, tol=tol)

@@ -21,6 +21,7 @@ from .channel import (
     Superoperator,
     TransferMatrix,
     check_kraus_stack,
+    choi_min_eigenvalue_stack,
     is_completely_positive,
     kraus_to_superoperator,
     kraus_to_superoperator_stack,
@@ -30,9 +31,9 @@ from .channel import (
 )
 from .criteria import (
     VERDICT_ATOL,
-    complex_pair_disc,
     det_range_check,
     k_norm_bound,
+    pair_margins_stack,
     qubit_criteria_stack,
     theorem1,
 )
@@ -55,7 +56,7 @@ from .spectra import (
     spectrum,
     unit_gap_stack,
 )
-from .synthesis import synthesize_from_complex_pair, xi_from_real_spectrum
+from .synthesis import canonical_stack, synthesize_from_complex_pair, xi_from_real_spectrum
 from .zfeas import z_feasibility
 
 EXIT_OK = 0
@@ -66,6 +67,8 @@ K_NORM_SLACK = 1e-9  # squared translation norm of a channel over its spectral b
 # channels per stacked pass of `sample`, so its arrays do not grow with --n; above
 # d = 4 a pass holds at most as many superoperator entries as 64 channels at d = 4
 SAMPLE_BLOCK = 64
+REGION_ROWS = 16  # lattice rows per stacked pass of `region`, so no array spans the lattice
+_REGION_CELLS = ("0,", "1,", "1,0", "1,1")  # disc and oracle columns by cell code
 
 
 def _to_superoperator(channel) -> Superoperator:
@@ -177,7 +180,7 @@ def _finite_floats(values, name: str) -> list:
     except (TypeError, ValueError, OverflowError) as exc:
         raise StructuralError(f"{name} must be numbers: {exc}") from exc
     if not all(np.isfinite(values)):
-        raise StructuralError(f"{name} must be finite numbers, got {values}")
+        raise StructuralError(f"{name} must be finite, got {values}")
     return values
 
 
@@ -205,26 +208,20 @@ def cmd_synthesize(args) -> int:
 def cmd_region(args) -> int:
     if args.grid < 2:
         raise ChanspecError(f"grid must be >= 2, got {args.grid}")
-    x = args.x
+    (x,) = _finite_floats([args.x], "--x")
     axis = np.linspace(-1.0, 1.0, args.grid)
+    text = [format(v, ".17g") for v in axis]
     lines = ["re_z,im_z,disc,oracle"]
-    for im in axis:
-        for re in axis:
-            z = complex(re, im)
-            disc = complex_pair_disc(x, z).satisfied
-            oracle = ""
-            if disc:
-                try:
-                    if im == 0.0:
-                        phi = xi_from_real_spectrum(x, re, re)
-                    else:
-                        phi = synthesize_from_complex_pair(x, z)
-                    oracle = "1" if is_completely_positive(phi).completely_positive else "0"
-                except NotRealizableError:
-                    oracle = ""
-            lines.append(
-                f"{format(re, '.17g')},{format(im, '.17g')},{'1' if disc else '0'},{oracle}"
-            )
+    for start in range(0, args.grid, REGION_ROWS):
+        re, im = np.meshgrid(axis, axis[start : start + REGION_ROWS])
+        disc = pair_margins_stack(x, np.hypot(re, im), re)[0] >= -VERDICT_ATOL
+        matrices, realizable = canonical_stack(x, re[disc], im[disc])
+        # cell codes: 0 outside the disc, 1 no canonical channel, 2 + the Choi verdict
+        # at is_completely_positive's default tolerance, 1e-10 * dim
+        codes = disc.astype(int)
+        codes[disc] += realizable * (1 + (choi_min_eigenvalue_stack(matrices) >= -1e-10 * 2))
+        for row, im_text in enumerate(text[start : start + REGION_ROWS]):
+            lines += [f"{r},{im_text},{_REGION_CELLS[c]}" for r, c in zip(text, codes[row])]
     serialize.write_text("\n".join(lines), args.out)
     return EXIT_OK
 
@@ -294,6 +291,7 @@ def cmd_sample(args) -> int:
 
 
 def cmd_gauge(args) -> int:
+    (strength,) = _finite_floats([args.strength], "--strength")
     gates = []
     for path in args.gates:
         channel = serialize.channel_from_dict(serialize.load_json(path))
@@ -301,7 +299,7 @@ def cmd_gauge(args) -> int:
     dim = gates[0].dim
     state, effect = computational_state_effect(dim)
     gs = make_gateset(gates, state, effect)
-    x = random_gauge(dim, args.strength, args.seed)
+    x = random_gauge(dim, strength, args.seed)
     if args.break_gauge:
         # deliberately violate the group condition for negative testing
         broken = np.array(x.matrix)

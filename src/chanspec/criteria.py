@@ -140,15 +140,27 @@ def real_tetrahedron(l1: float, l2: float, l3: float) -> CriterionVerdict:
     return _verdict("real_tetrahedron", min(_fa_slacks(l1, l2, l3)))
 
 
+def _disc_margin(x: float, radius):
+    """:func:`complex_pair_disc` margin and branch at ``|z| = radius`` (a number or an array)."""
+    if abs(x) > 1.0 + VERDICT_ATOL:
+        return np.full(np.shape(radius), 1.0 - abs(x)), "unit-disk"
+    return (1.0 + x) / 2.0 - radius, ""
+
+
 def complex_pair_disc(x: float, z: complex) -> CriterionVerdict:
     """Disc condition ``|z| <= (1 + x) / 2`` for a conjugate-pair qubit spectrum.
 
     Requires ``|x| <= 1``; beyond that the unit-disk property is already
     violated and the verdict reports the unit-disk slack instead.
     """
-    if abs(x) > 1.0 + VERDICT_ATOL:
-        return _verdict("complex_pair_disc", 1.0 - abs(x), branch="unit-disk")
-    return _verdict("complex_pair_disc", (1.0 + x) / 2.0 - abs(z))
+    margin, branch = _disc_margin(x, abs(z))
+    return _verdict("complex_pair_disc", margin, branch=branch)
+
+
+def pair_margins_stack(x: float, radius: np.ndarray, real: np.ndarray):
+    """:func:`complex_pair_disc` margin at each ``|z|`` in ``radius`` and :func:`real_tetrahedron`
+    margin at each ``(x, r, r)``, ``r`` in ``real``, with the scalar verdicts' arithmetic."""
+    return _disc_margin(x, radius)[0], np.minimum.reduce(_fa_slacks(x, real, real))
 
 
 def _det_range_margin(non_unit: np.ndarray) -> np.ndarray:

@@ -26,6 +26,7 @@ from .spectra import spectrum
 
 CONDITION_CAP = 1e4
 SEQUENCE_IMAG_ATOL = 1e-9
+ORBIT_BLOCK = 4096  # vectors per stacked pass of `verify_orbit_invariance`, whatever max_len
 
 
 @dataclass(frozen=True)
@@ -268,23 +269,49 @@ def matched_spectral_distance(values_a, values_b) -> float:
     return float(np.max(cost[rows, cols]))
 
 
+def _probability_chunks(gates: np.ndarray, state: np.ndarray, effect: np.ndarray, max_len: int):
+    """Probabilities of all sequences up to ``max_len`` in ``itertools.product`` order, in chunks;
+    leading axes of ``gates`` ``(..., K, n, n)`` are gate sets.  A level is the gates times the
+    last while it holds ``ORBIT_BLOCK`` vectors at most, then that level under each prefix."""
+
+    def checked(vectors):  # np.vecdot conjugates back: these are sequence_probability's bits
+        values = np.vecdot(effect.conj()[..., None, :], vectors)
+        residue = np.abs(values.imag) > SEQUENCE_IMAG_ATOL * np.maximum(1.0, np.abs(values.real))
+        if np.any(residue):
+            raise StructuralError(f"sequence probability has imaginary residue {values.imag[residue][0]:.3e}")
+        return values.real
+
+    level, length = state[..., None, :], 0
+    yield checked(level)
+    while length < max_len and gates.shape[-3] * level.shape[-2] <= ORBIT_BLOCK:
+        level = np.matvec(gates[..., None, :, :], level[..., None, :, :])
+        level, length = level.reshape(*level.shape[:-3], -1, level.shape[-1]), length + 1
+        yield checked(level)
+    for extra in range(1, max_len - length + 1):
+        for prefix in itertools.product(range(gates.shape[-3]), repeat=extra):
+            vectors = level
+            for index in reversed(prefix):
+                vectors = np.matvec(gates[..., index, None, :, :], vectors)
+            yield checked(vectors)
+
+
 def verify_orbit_invariance(gs: GateSet, x: GaugeTransform, max_len: int) -> OrbitInvarianceReport:
     """Compare probabilities and spectra before and after a gauge transformation.
 
-    Enumerates every gate sequence of length 0 through ``max_len`` and every
-    gate spectrum; returns the worst deviations found.
+    Covers every gate sequence of length 0 through ``max_len``, both gate sets
+    a level at a time, and every gate spectrum; returns the worst deviations.
     """
     if max_len < 1:
         raise ValueError(f"max_len must be >= 1, got {max_len}")
     transformed = transform_gateset(gs, x)
+    sides = (gs, transformed)
+    gates = np.array([[g.matrix for g in side.gates] for side in sides])
+    state_effect = [np.array([getattr(side, name) for side in sides]) for name in ("state", "effect")]
     worst_prob = 0.0
     count = 0
-    alphabet = range(len(gs.gates))
-    for length in range(max_len + 1):
-        for seq in itertools.product(alphabet, repeat=length):
-            delta = abs(sequence_probability(gs, seq) - sequence_probability(transformed, seq))
-            worst_prob = max(worst_prob, delta)
-            count += 1
+    for before, after in _probability_chunks(gates, *state_effect, max_len):
+        worst_prob = max(worst_prob, float(np.max(np.abs(before - after))))
+        count += before.size
     worst_spectral = 0.0
     for before, after in zip(gs.gates, transformed.gates):
         dist = matched_spectral_distance(spectrum(before).values, spectrum(after).values)

@@ -65,13 +65,20 @@ def channel_to_dict(channel) -> dict:
     raise TypeError(f"cannot serialize {type(channel)} as a channel")
 
 
+def _declared_dim(value, error) -> int:
+    """A payload's ``dim``: an integer, or a float with an integral value; else ``error``."""
+    if isinstance(value, bool) or not (isinstance(value, int) or isinstance(value, float) and value.is_integer()):
+        raise error(f"declared dim must be an integer, got {value!r}")
+    return int(value)
+
+
 def channel_from_dict(payload: dict):
     """Parse a channel-schema dictionary into the matching representation."""
     try:
-        dim = int(payload["dim"])
+        dim = _declared_dim(payload["dim"], StructuralError)
         fmt = payload["format"]
         data = payload["data"]
-    except (KeyError, TypeError, OverflowError) as exc:
+    except (KeyError, TypeError) as exc:
         raise StructuralError(f"malformed channel payload: missing {exc}") from exc
     if fmt == "kraus":
         if not isinstance(data, list):
@@ -133,15 +140,8 @@ def spectrum_from_dict(payload: dict) -> Spectrum:
     if dim * dim != len(values):
         raise StructuralError(f"spectrum length {len(values)} is not a perfect square")
     declared = payload.get("dim")
-    if declared is not None:
-        try:
-            declared_dim = int(declared)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise MalformedSpectrumError(
-                f"declared dim must be a finite number, got {declared!r}"
-            ) from exc
-        if declared_dim != dim:
-            raise StructuralError(f"declared dim {declared} inconsistent with {len(values)} values")
+    if declared is not None and _declared_dim(declared, MalformedSpectrumError) != dim:
+        raise StructuralError(f"declared dim {declared} inconsistent with {len(values)} values")
     return build_spectrum(values, dim)
 
 

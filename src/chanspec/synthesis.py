@@ -10,10 +10,23 @@ by construction, not by optimization.
 import numpy as np
 
 from .channel import Superoperator, TransferMatrix
-from .criteria import complex_pair_disc, real_tetrahedron
+from .criteria import VERDICT_ATOL, complex_pair_disc, pair_margins_stack, real_tetrahedron
 from .exceptions import NotRealizableError
 
 _BOUNDARY_SLACK = 1e-9
+
+
+def _mixture_matrices(p, a, alpha) -> np.ndarray:
+    """:func:`mixture_channel` matrices, broadcast over the weights and angles."""
+    for name, weight in (("mixture", np.asarray(p)), ("mixing", np.asarray(a))):
+        outside = ~((0.0 <= weight) & (weight <= 1.0))
+        if np.any(outside):
+            raise ValueError(f"{name} weight must lie in [0, 1], got {weight[outside][0]}")
+    m = np.zeros(np.broadcast(p, a, alpha).shape + (4, 4), dtype=complex)
+    m[..., 0, 0] = m[..., 3, 3] = p * a + (1.0 - p)
+    m[..., 0, 3] = m[..., 3, 0] = p * (1.0 - a)
+    m[..., 1, 1], m[..., 2, 2] = (1.0 - p) * np.exp(-1j * alpha), (1.0 - p) * np.exp(1j * alpha)
+    return m
 
 
 def classical_channel(a: float) -> Superoperator:
@@ -22,20 +35,12 @@ def classical_channel(a: float) -> Superoperator:
     Superoperator has corners ``{a, 1-a; 1-a, a}`` and a vanishing middle
     block; eigenvalues ``{1, 2a-1, 0, 0}``.
     """
-    if not 0.0 <= a <= 1.0:
-        raise ValueError(f"mixing weight must lie in [0, 1], got {a}")
-    m = np.zeros((4, 4), dtype=complex)
-    m[0, 0] = m[3, 3] = a
-    m[0, 3] = m[3, 0] = 1.0 - a
-    return Superoperator(dim=2, matrix=m)
+    return Superoperator(dim=2, matrix=_mixture_matrices(1.0, a, 0.0))
 
 
 def phase_unitary_channel(alpha: float) -> Superoperator:
     """Phase rotation about the computational basis: ``diag(1, e^{-ia}, e^{ia}, 1)``."""
-    return Superoperator(
-        dim=2,
-        matrix=np.diag([1.0, np.exp(-1j * alpha), np.exp(1j * alpha), 1.0]),
-    )
+    return Superoperator(dim=2, matrix=_mixture_matrices(0.0, 1.0, alpha))
 
 
 def mixture_channel(p: float, a: float, alpha: float) -> Superoperator:
@@ -43,12 +48,19 @@ def mixture_channel(p: float, a: float, alpha: float) -> Superoperator:
 
     CPTP by construction; eigenvalues ``{1, 1 - 2p(1-a), (1-p) e^{-+ i alpha}}``.
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"mixture weight must lie in [0, 1], got {p}")
-    if not 0.0 <= a <= 1.0:
-        raise ValueError(f"mixing weight must lie in [0, 1], got {a}")
-    matrix = p * classical_channel(a).matrix + (1.0 - p) * phase_unitary_channel(alpha).matrix
-    return Superoperator(dim=2, matrix=matrix)
+    return Superoperator(dim=2, matrix=_mixture_matrices(p, a, alpha))
+
+
+def _complex_pair_matrices(x: float, radius, alpha) -> np.ndarray:
+    """:func:`synthesize_from_complex_pair` matrices at each ``|z| = radius`` and ``arg z = alpha``;
+    at ``|z| = 1``, ``p = 0`` and ``a = 1`` make the mixture the phase unitary itself."""
+    unitary = np.asarray(radius) >= 1.0 - 1e-15
+    p = np.where(unitary, 0.0, 1.0 - radius)
+    a = np.divide(x - 2.0 * radius + 1.0, 2.0 - 2.0 * radius, out=np.ones_like(p), where=~unitary)
+    # float slop near the disc boundary maps to a slightly outside [0, 1]
+    a = np.where((-_BOUNDARY_SLACK <= a) & (a < 0.0), 0.0, a)
+    a = np.where((1.0 < a) & (a <= 1.0 + _BOUNDARY_SLACK), 1.0, a)
+    return _mixture_matrices(p, a, alpha)
 
 
 def synthesize_from_complex_pair(x: float, z: complex) -> Superoperator:
@@ -81,18 +93,16 @@ def synthesize_from_complex_pair(x: float, z: complex) -> Superoperator:
             f"|z| = {abs(z):.6g} exceeds the admissible radius {(1 + x) / 2:.6g}",
             inequality="|z| <= (1 + x)/2",
         )
-    radius = abs(z)
-    alpha = float(np.angle(z))
-    if radius >= 1.0 - 1e-15:
-        return phase_unitary_channel(alpha)
-    p = 1.0 - radius
-    a = (x - 2.0 * radius + 1.0) / (2.0 - 2.0 * radius)
-    # float slop near the disc boundary maps to a slightly outside [0, 1]
-    if -_BOUNDARY_SLACK <= a < 0.0:
-        a = 0.0
-    elif 1.0 < a <= 1.0 + _BOUNDARY_SLACK:
-        a = 1.0
-    return mixture_channel(p, a, alpha)
+    return Superoperator(dim=2, matrix=_complex_pair_matrices(x, abs(z), float(np.angle(z))))
+
+
+def _real_matrices(l1, l2, l3) -> np.ndarray:
+    m = np.zeros(np.broadcast(l1, l2, l3).shape + (4, 4), dtype=complex)
+    m[..., 0, 0] = m[..., 3, 3] = (1.0 + l1) / 2.0
+    m[..., 0, 3] = m[..., 3, 0] = (1.0 - l1) / 2.0
+    m[..., 1, 1] = m[..., 2, 2] = (l2 + l3) / 2.0
+    m[..., 1, 2] = m[..., 2, 1] = (l3 - l2) / 2.0
+    return m
 
 
 def xi_from_real_spectrum(l1: float, l2: float, l3: float) -> Superoperator:
@@ -114,12 +124,22 @@ def xi_from_real_spectrum(l1: float, l2: float, l3: float) -> Superoperator:
             f"by {-verdict.margin:.3e}",
             inequality="1 +- l1 +- l2 +- l3 >= 0",
         )
-    m = np.zeros((4, 4), dtype=complex)
-    m[0, 0] = m[3, 3] = (1.0 + l1) / 2.0
-    m[0, 3] = m[3, 0] = (1.0 - l1) / 2.0
-    m[1, 1] = m[2, 2] = (l2 + l3) / 2.0
-    m[1, 2] = m[2, 1] = (l3 - l2) / 2.0
-    return Superoperator(dim=2, matrix=m)
+    return Superoperator(dim=2, matrix=_real_matrices(l1, l2, l3))
+
+
+def canonical_stack(x: float, re: np.ndarray, im: np.ndarray):
+    """Matrices of the canonical channels with spectrum ``{1, x, z, conj(z)}`` over arrays
+    of ``z = re + i im`` inside the disc, zero where there is none, and the mask of where
+    there is: :func:`xi_from_real_spectrum` at ``(x, re, re)`` for ``im = 0``, else
+    :func:`synthesize_from_complex_pair`, each with the same builder and conditions."""
+    radius, real = np.hypot(re, im), im == 0.0
+    realizable = np.where(real, pair_margins_stack(x, radius, re)[1] >= -VERDICT_ATOL, abs(x) <= 1.0)
+    matrices = np.zeros(re.shape + (4, 4), dtype=complex)
+    cells = real & realizable
+    matrices[cells] = _real_matrices(x, re[cells], re[cells])
+    cells = ~real & realizable
+    matrices[cells] = _complex_pair_matrices(x, radius[cells], np.arctan2(im[cells], re[cells]))
+    return matrices, realizable
 
 
 def det_saturating_transfer() -> TransferMatrix:

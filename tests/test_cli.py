@@ -125,6 +125,12 @@ ZERO_T = [[0.0] * 3] * 3
         ("analyze", {"dim": 2, "format": "transfer", "data": {"k": [{"a": 1}, 0, 0], "T": ZERO_T}}),
         ("analyze", {"dim": 2, "format": "transfer", "data": {"k": [10**400, 0, 0], "T": ZERO_T}}),
         ("analyze", {"dim": 2, "format": "transfer", "data": {"k": ["0.5", 0, 0], "T": ZERO_T}}),
+        ("analyze", {"dim": "2", "format": "kraus", "data": [KRAUS_IDENTITY]}),
+        ("analyze", {"dim": 2.7, "format": "kraus", "data": [KRAUS_IDENTITY]}),
+        ("analyze", {"dim": True, "format": "kraus", "data": [KRAUS_IDENTITY]}),
+        ("gauge", {"dim": "2", "format": "kraus", "data": [KRAUS_IDENTITY]}),
+        ("analyze", {"spectrum": [[1, 0], [1, 0], [1, 0], [1, 0]], "dim": "2"}),
+        ("analyze", {"spectrum": [[1, 0], [1, 0], [1, 0], [1, 0]], "dim": 2.7}),
     ],
 )
 def test_malformed_payload_exits_1(tmp_path, capsys, command, payload):
@@ -134,6 +140,25 @@ def test_malformed_payload_exits_1(tmp_path, capsys, command, payload):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "flag, argv",
+    [
+        ("--x", ["region", "--x", "nan"]),
+        ("--x", ["region", "--x=inf", "--grid", "3"]),
+        ("--x", ["region", "--x=-inf"]),
+        ("--strength", ["gauge", "--strength", "nan"]),
+        ("--strength", ["gauge", "--strength=inf"]),
+    ],
+)
+def test_non_finite_flag_exits_1(tmp_path, capsys, flag, argv):
+    if argv[0] == "gauge":
+        argv = argv + ["--gates", write_channel(tmp_path, "g.json", bit_flip_kraus(0.25))]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag} must be finite")
     assert "Traceback" not in err
 
 
