@@ -16,6 +16,7 @@ from .exceptions import StructuralError
 from .spectra import Spectrum, spectrum
 
 TRACE_IMAG_ATOL = 1e-10
+MC_BLOCK = 8192  # Haar samples per stacked pass of the Monte Carlo estimators, whatever n
 
 
 @dataclass(frozen=True)
@@ -46,24 +47,39 @@ def haar_pure_states(dim: int, n: int, rng: np.random.Generator) -> np.ndarray:
     return vecs / np.linalg.norm(vecs, axis=1, keepdims=True)
 
 
-def _summary(samples: np.ndarray) -> MonteCarloEstimate:
-    return MonteCarloEstimate(
-        estimate=float(np.mean(samples)),
-        std_error=float(np.std(samples, ddof=1) / np.sqrt(len(samples))),
-    )
+def _mc_estimate(d: int, n: int, seed: int, matrix: np.ndarray, scale: float, traceless: bool):
+    """Mean and standard error of ``scale * |matrix p|^2 / |v|^4`` over Gaussian vectors v.
 
-
-def mc_avg_gate_fidelity(ks: KrausSet, n: int, seed: int) -> MonteCarloEstimate:
-    """Monte-Carlo fidelity: mean of ``<psi| E(|psi><psi|) |psi>`` over Haar states."""
+    The v are the draws of :func:`haar_pure_states` before normalization; each
+    sample has degree 4 in v, so dividing by ``|v|^4`` normalizes it.  ``p`` is
+    the row-major ``vec(v v^dag)``, less ``|v|^2 / d`` on the diagonal when
+    ``traceless``.  Draws are taken ``MC_BLOCK`` at a time, one per column.
+    """
     if n < 2:
         raise ValueError(f"need at least two samples, got {n}")
     rng = np.random.default_rng(seed)
-    states = haar_pure_states(ks.dim, n, rng)
-    samples = np.zeros(n)
-    for k in ks.operators:
-        amplitudes = np.einsum("ni,ij,nj->n", states.conj(), k, states)
-        samples += np.abs(amplitudes) ** 2
-    return _summary(samples)
+    real, imag = rng.standard_normal((n, d)), rng.standard_normal((n, d))
+    samples = np.empty(n)
+    for rows in (slice(start, start + MC_BLOCK) for start in range(0, n, MC_BLOCK)):
+        v = np.ascontiguousarray((real[rows] + 1j * imag[rows]).T)
+        p = (v[:, None] * v.conj()).reshape(d * d, -1)
+        norm_sq = p[:: d + 1].real.sum(axis=0)
+        if traceless:
+            p[:: d + 1] -= norm_sq / d
+        image = matrix @ p
+        samples[rows] = scale * (image.real**2 + image.imag**2).sum(axis=0) / norm_sq**2
+    return MonteCarloEstimate(float(np.mean(samples)), float(np.std(samples, ddof=1) / np.sqrt(n)))
+
+
+def mc_avg_gate_fidelity(ks: KrausSet, n: int, seed: int) -> MonteCarloEstimate:
+    """Monte-Carlo fidelity: mean of ``<psi| E(|psi><psi|) |psi>`` over Haar states.
+
+    On the states of :func:`haar_pure_states` for ``default_rng(seed)``, the
+    sample is ``sum_r |<psi|K_r|psi>|^2``, all Kraus operators in one product.
+    """
+    # conj(vec K_r) . vec(psi psi^dag) = conj(<psi|K_r|psi>), of the same modulus
+    kraus = np.array(ks.operators).reshape(len(ks.operators), ks.dim**2)
+    return _mc_estimate(ks.dim, n, seed, kraus.conj(), 1.0, traceless=False)
 
 
 def unitarity_exact(tm: TransferMatrix) -> float:
@@ -78,21 +94,15 @@ def unitarity_exact(tm: TransferMatrix) -> float:
 def mc_unitarity(ks: KrausSet, n: int, seed: int) -> MonteCarloEstimate:
     """Monte-Carlo unitarity.
 
-    Averages ``d/(d-1) * Tr[E'(psi)^dag E'(psi)]`` over Haar-random pure
-    states, where ``E'`` acts on the traceless part of the input,
-    ``E'(rho) = E(rho - Tr[rho] 1/d)``.  For a trace-preserving channel this
-    removes the translation contribution, matching :func:`unitarity_exact`
-    for unital and non-unital channels alike.
+    Averages ``d/(d-1) * Tr[E'(psi)^dag E'(psi)]`` over the Haar states of
+    :func:`haar_pure_states` for ``default_rng(seed)``, where ``E'`` acts on
+    the traceless part of the input, ``E'(rho) = E(rho - Tr[rho] 1/d)``: one
+    product of the superoperator with ``vec(psi psi^dag - 1/d)``.  For a
+    trace-preserving channel this removes the translation contribution,
+    matching :func:`unitarity_exact` for unital and non-unital channels alike.
     """
-    if n < 2:
-        raise ValueError(f"need at least two samples, got {n}")
     d = ks.dim
-    rng = np.random.default_rng(seed)
-    states = haar_pure_states(d, n, rng)
-    projectors = np.einsum("ni,nj->nij", states, states.conj())
-    traceless = projectors - np.eye(d) / d
-    image = traceless.reshape(n, d * d) @ kraus_to_superoperator(ks).matrix.T
-    return _summary((d / (d - 1)) * np.sum(np.abs(image) ** 2, axis=1))
+    return _mc_estimate(d, n, seed, kraus_to_superoperator(ks).matrix, d / (d - 1), traceless=True)
 
 
 def unitarity_lower_from_r(r: float, d: int) -> float:

@@ -13,8 +13,6 @@ from .channel import Superoperator, TransferMatrix
 from .criteria import VERDICT_ATOL, complex_pair_disc, pair_margins_stack, real_tetrahedron
 from .exceptions import NotRealizableError
 
-_BOUNDARY_SLACK = 1e-9
-
 
 def _mixture_matrices(p, a, alpha) -> np.ndarray:
     """:func:`mixture_channel` matrices, broadcast over the weights and angles."""
@@ -57,10 +55,10 @@ def _complex_pair_matrices(x: float, radius, alpha) -> np.ndarray:
     unitary = np.asarray(radius) >= 1.0 - 1e-15
     p = np.where(unitary, 0.0, 1.0 - radius)
     a = np.divide(x - 2.0 * radius + 1.0, 2.0 - 2.0 * radius, out=np.ones_like(p), where=~unitary)
-    # float slop near the disc boundary maps to a slightly outside [0, 1]
-    a = np.where((-_BOUNDARY_SLACK <= a) & (a < 0.0), 0.0, a)
-    a = np.where((1.0 < a) & (a <= 1.0 + _BOUNDARY_SLACK), 1.0, a)
-    return _mixture_matrices(p, a, alpha)
+    # a cell the disc admits within VERDICT_ATOL has a slightly outside [0, 1], by up to
+    # VERDICT_ATOL / (1 - |z|) near the unit circle; clipping moves the real eigenvalue
+    # 1 - 2p(1 - a) by at most 2 VERDICT_ATOL
+    return _mixture_matrices(p, np.clip(a, 0.0, 1.0), alpha)
 
 
 def synthesize_from_complex_pair(x: float, z: complex) -> Superoperator:

@@ -17,8 +17,12 @@ from chanspec.gauge import GaugeTransform
 from conftest import bit_flip_kraus, depolarizing_kraus
 
 
-def _report(number, text):
-    print(f"\n[criterion {number}] PASS — {text}")
+def _report(number, text, elapsed, budget=None):
+    """One PASS line with the criterion's elapsed time and, under a budget, the headroom left."""
+    timing = f"{elapsed:.1f} s"
+    if budget is not None:
+        timing += f" of a {budget:.0f} s budget, {budget - elapsed:.1f} s left"
+    print(f"\n[criterion {number}] PASS — {text} ({timing})")
 
 
 @pytest.fixture(scope="module")
@@ -67,11 +71,12 @@ def test_criterion_1_soundness():
     elapsed = time.perf_counter() - start
     assert refutations == 0
     assert elapsed <= 60.0, f"soundness sweep took {elapsed:.1f} s"
-    _report(1, f"0 refutations over 2x10^4 CP channels in {elapsed:.1f} s")
+    _report(1, "0 refutations over 2x10^4 CP channels", elapsed, budget=60.0)
 
 
 def test_criterion_2_sign_table_equivalence():
     """Exact boolean agreement of the two FA forms over 10^5 random triples."""
+    start = time.perf_counter()
     rng = np.random.default_rng(2024)
     for _ in range(100_000):
         eta = rng.uniform(-1.0, 1.0, size=3)
@@ -79,11 +84,12 @@ def test_criterion_2_sign_table_equivalence():
         s = np.sort(np.abs(eta))[::-1]
         via_singulars = cs.fa_singular(s, det_sign=np.sign(np.prod(eta))).satisfied
         assert direct == via_singulars, eta
-    _report(2, "fa_conditions == fa_singular on 10^5 sign-table samples")
+    _report(2, "fa_conditions == fa_singular on 10^5 sign-table samples", time.perf_counter() - start)
 
 
 def test_criterion_3_determinant_extremes(rank4_pool):
     """det T >= -1/27 - 1e-9 over the pool; the saturating channel is exact."""
+    start = time.perf_counter()
     min_det = min(float(np.linalg.det(tm.bloch_map)) for _, tm in rank4_pool)
     assert min_det >= -1 / 27 - 1e-9
     exact = cs.det_saturating_transfer()
@@ -91,7 +97,11 @@ def test_criterion_3_determinant_extremes(rank4_pool):
     report = cs.is_completely_positive(cs.det_saturating_channel())
     assert report.completely_positive
     assert abs(report.min_eigenvalue) <= 1e-10
-    _report(3, f"min sampled det T = {min_det:.6f} >= -1/27; saturating channel exact")
+    _report(
+        3,
+        f"min sampled det T = {min_det:.6f} >= -1/27; saturating channel exact",
+        time.perf_counter() - start,
+    )
 
 
 def test_criterion_4_region_reproduction(tmp_path):
@@ -115,11 +125,12 @@ def test_criterion_4_region_reproduction(tmp_path):
         assert feasible_cells == pytest.approx(expected_area, rel=0.05)
     elapsed = time.perf_counter() - start
     assert elapsed <= 30.0, f"region sweep took {elapsed:.1f} s"
-    _report(4, f"discs of radius 0.7 / 0.3 reproduced in {elapsed:.1f} s")
+    _report(4, "discs of radius 0.7 / 0.3 reproduced", elapsed, budget=30.0)
 
 
 def test_criterion_5_synthesis_exactness():
     """10^4 mixtures and 10^4 normal channels: CPTP, spectra to 1e-9, normality 1e-12."""
+    start = time.perf_counter()
     rng = np.random.default_rng(55)
     done = 0
     while done < 10_000:
@@ -146,11 +157,12 @@ def test_criterion_5_synthesis_exactness():
         target = np.array([1.0, *lam])
         assert cs.matched_spectral_distance(cs.spectrum(phi).values, target) <= 1e-9
         done += 1
-    _report(5, "2x10^4 synthesized channels CPTP and spectrally exact")
+    _report(5, "2x10^4 synthesized channels CPTP and spectrally exact", time.perf_counter() - start)
 
 
 def test_criterion_6_gauge_invariance():
     """10^3 (gate set, gauge) pairs: probability and spectral deviations bounded."""
+    start = time.perf_counter()
     worst_prob_scaled = 0.0
     worst_spectral = 0.0
     for seed in range(1_000):
@@ -187,11 +199,13 @@ def test_criterion_6_gauge_invariance():
         6,
         f"10^3 orbits invariant (worst scaled prob dev {worst_prob_scaled:.2e}, "
         f"worst spectral dev {worst_spectral:.2e}); broken gauge detected",
+        time.perf_counter() - start,
     )
 
 
 def test_criterion_7_metric_formulas():
     """Closed forms for the named channels; Monte Carlo within 3 sigma on 200 seeds."""
+    start = time.perf_counter()
     bit_flip = bit_flip_kraus(0.25)
     phi_bf = cs.kraus_to_superoperator(bit_flip)
     assert cs.avg_gate_fidelity(phi_bf) == pytest.approx(5 / 6, abs=1e-12)
@@ -218,11 +232,12 @@ def test_criterion_7_metric_formulas():
             if abs(est.estimate - truth) > 3.0 * est.std_error + 1e-12:
                 failures += 1
         assert failures <= 2, f"{name}: {failures} of 200 seeds outside 3 sigma"
-    _report(7, "closed forms exact; MC within 3 sigma in >= 99% of 200 seeds")
+    _report(7, "closed forms exact; MC within 3 sigma in >= 99% of 200 seeds", time.perf_counter() - start)
 
 
 def test_criterion_8_bound_ordering(rank4_pool):
     """u >= both lower bounds, diamond lower <= upper, Wallman bound finite."""
+    start = time.perf_counter()
     checked = 0
     pools = [rank4_pool]
     extra = []
@@ -245,11 +260,12 @@ def test_criterion_8_bound_ordering(rank4_pool):
             assert np.isfinite(wallman)
             checked += 1
     assert checked >= 10_000
-    _report(8, f"bound ordering verified on {checked} channels, zero violations")
+    _report(8, f"bound ordering verified on {checked} channels, zero violations", time.perf_counter() - start)
 
 
 def test_criterion_9_information_loss():
     """Two channels with identical spectra but superoperator distance >= 1e-3."""
+    start = time.perf_counter()
     found = None
     for seed in range(200):
         phi = cs.kraus_to_superoperator(cs.sample_cptp(2, 4, seed))
@@ -275,4 +291,5 @@ def test_criterion_9_information_loss():
         9,
         f"seed {seed}: spectra match to {spectral_distance:.1e}, "
         f"superoperators differ by {operator_distance:.2e}",
+        time.perf_counter() - start,
     )

@@ -265,6 +265,19 @@ class TestRegion:
     def test_grid_validation(self):
         assert main(["region", "--x", "0.4", "--grid", "1"]) == 1
 
+    def test_tolerance_band_near_unit_circle(self, tmp_path):
+        # the disc admits z at margin -7.5e-13, where the mixing weight
+        # (x - 2|z| + 1) / (2 - 2|z|) is -5e-9, beyond any fixed 1e-9 slack
+        x = 0.9996999774951244
+        assert main(["region", "--x", str(x), "--grid", "201", "--out", str(tmp_path / "r.csv")]) == 0
+        spec = tmp_path / "target.json"
+        spec.write_text(json.dumps({"x": x, "z": [-0.99, -0.14]}))
+        assert cs.complex_pair_disc(x, complex(-0.99, -0.14)).margin < 0.0
+        out = tmp_path / "channel.json"
+        assert main(["synthesize", str(spec), "--out", str(out)]) == 0
+        phi = serialize.channel_from_dict(json.loads(out.read_text()))
+        assert cs.is_completely_positive(phi).completely_positive
+
     def test_deterministic(self, tmp_path):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"

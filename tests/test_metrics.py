@@ -122,6 +122,58 @@ class TestUnitarity:
             assert est.estimate == pytest.approx(np.mean(samples), abs=1e-15)
             assert est.std_error == pytest.approx(np.std(samples, ddof=1) / np.sqrt(n), abs=1e-17)
 
+    @pytest.mark.parametrize("d, rank", [(2, 1), (2, 4), (3, 2), (4, 3)])
+    def test_mc_fidelity_matches_kraus_einsum_reference(self, d, rank):
+        # reference: one three-operand einsum per Kraus operator on the Haar draws
+        n = 2_000
+        for seed in range(3):
+            ks = cs.sample_cptp(d, rank, seed)
+            samples = fidelity_reference_samples(ks, n, seed)
+            est = cs.mc_avg_gate_fidelity(ks, n, seed)
+            assert est.estimate == pytest.approx(np.mean(samples), abs=1e-15)
+            assert est.std_error == pytest.approx(np.std(samples, ddof=1) / np.sqrt(n), abs=1e-17)
+
+
+def fidelity_reference_samples(ks, n, seed):
+    states = cs.metrics.haar_pure_states(ks.dim, n, np.random.default_rng(seed))
+    return sum(
+        np.abs(np.einsum("ni,ij,nj->n", states.conj(), k, states)) ** 2 for k in ks.operators
+    )
+
+
+def unitarity_reference_samples(ks, n, seed):
+    d = ks.dim
+    states = cs.metrics.haar_pure_states(d, n, np.random.default_rng(seed))
+    traceless = np.einsum("ni,nj->nij", states, states.conj()) - np.eye(d) / d
+    image = sum(k @ traceless @ k.conj().T for k in ks.operators)
+    return d / (d - 1) * np.sum(np.abs(image) ** 2, axis=(1, 2))
+
+
+BLOCK = cs.metrics.MC_BLOCK
+
+
+@pytest.mark.parametrize("n", [2, BLOCK - 1, BLOCK + 1, 2 * BLOCK + 3])
+@pytest.mark.parametrize(
+    "estimator, reference",
+    [
+        (cs.mc_avg_gate_fidelity, fidelity_reference_samples),
+        (cs.mc_unitarity, unitarity_reference_samples),
+    ],
+)
+def test_mc_partial_last_block(estimator, reference, n):
+    # the reference normalizes each state first, so the samples differ by
+    # rounding; at most 1e-15 per sample moves the standard deviation by at most
+    # 1e-15 sqrt(n / (n - 1)), so the standard error by 1e-15 / sqrt(n - 1):
+    # about 1e-17 at the block sizes, 1e-15 at n = 2
+    for d, rank in [(2, 2), (3, 4)]:
+        ks = cs.sample_cptp(d, rank, n)
+        samples = reference(ks, n, n + 1)
+        est = estimator(ks, n, n + 1)
+        assert est.estimate == pytest.approx(np.mean(samples), abs=1e-15)
+        assert est.std_error == pytest.approx(
+            np.std(samples, ddof=1) / np.sqrt(n), abs=1e-15 / np.sqrt(n - 1)
+        )
+
 
 class TestUnitarityBounds:
     def test_zero_error_rate(self):
