@@ -31,7 +31,6 @@ from .criteria import (
     real_tetrahedron,
     theorem1,
     z_condition,
-    z_condition_singular,
 )
 from .exceptions import (
     ChanspecError,
@@ -84,13 +83,9 @@ from .spectra import (
     AllReal,
     ConjugatePair,
     EtaTriple,
-    MajorizationReport,
-    SingularTriple,
     Spectrum,
     build_spectrum,
-    check_majorization,
     classify_qubit_spectrum,
-    singular_values,
     spectrum,
 )
 from .synthesis import (

@@ -57,7 +57,6 @@ from .spectra import (
     unit_gap_stack,
 )
 from .synthesis import canonical_stack, synthesize_from_complex_pair, xi_from_real_spectrum
-from .zfeas import z_feasibility
 
 EXIT_OK = 0
 EXIT_STRUCTURAL = 1
@@ -133,19 +132,6 @@ def cmd_analyze(args) -> int:
             "criterion": "k_norm_bound",
             "satisfied": bound >= -VERDICT_ATOL,
             "bound": bound,
-        }
-        zres = z_feasibility(sp)
-        verdicts["z_feasibility"] = {
-            "criterion": "z_feasibility",
-            "satisfied": zres.feasible,
-            "margin": zres.best_margin,
-            "witness": None
-            if zres.witness is None
-            else {
-                "singular_values": list(zres.witness[0].as_array()),
-                "k": [float(v) for v in zres.witness[1]],
-            },
-            "certificate": zres.certificate,
         }
         if tm is not None:
             actual = float(tm.translation @ tm.translation)

@@ -4,7 +4,7 @@ Every test here is one-directional: a violated verdict certifies the channel
 (or candidate spectrum) cannot be completely positive, while a satisfied
 verdict is inconclusive.  The single documented exception is a normal Bloch
 map, whose singular values equal its eigenvalue moduli, making
-:func:`theorem1_spectral` sufficient as well.
+:func:`theorem1` sufficient as well.
 """
 
 from dataclasses import dataclass
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import UnsupportedDimensionError
-from .spectra import EtaTriple, SingularTriple, Spectrum, non_unit_product_stack
+from .spectra import EtaTriple, Spectrum, non_unit_product_stack
 
 VERDICT_ATOL = 1e-12
 DET_SIGN_BAND = 1e-12
@@ -44,7 +44,7 @@ def _verdict(criterion: str, margin: float, branch: str = "") -> CriterionVerdic
 
 
 def _as_triple(values) -> np.ndarray:
-    if isinstance(values, (EtaTriple, SingularTriple)):
+    if isinstance(values, EtaTriple):
         return values.as_array()
     arr = np.asarray(values, dtype=float)
     if arr.shape != (3,):
@@ -78,23 +78,6 @@ def fa_conditions(eta) -> CriterionVerdict:
     return _verdict("fa_conditions", min(_fa_slacks(*_as_triple(eta))))
 
 
-def _singular_triple(s) -> np.ndarray:
-    arr = _as_triple(s)
-    if np.any(np.diff(arr) > 0) or arr[2] < 0:
-        raise ValueError(f"singular values must be decreasing and nonnegative: {arr}")
-    return arr
-
-
-def _branch_verdict(criterion, det_sign, positive, negative) -> CriterionVerdict:
-    """The margin on the branch of ``det_sign``; inside ``DET_SIGN_BAND``, the larger one."""
-    det_sign = float(det_sign)
-    if det_sign > DET_SIGN_BAND:
-        return _verdict(criterion, positive, branch="+")
-    if det_sign < -DET_SIGN_BAND:
-        return _verdict(criterion, negative, branch="-")
-    return _verdict(criterion, max(positive, negative), branch="0")
-
-
 def _fa_singular_margin(s: np.ndarray, positive_branch) -> np.ndarray:
     """FA margin of each triple in ``(..., 3)``; ``positive_branch`` picks the branch per triple."""
     total = np.sum(s, axis=-1)
@@ -106,13 +89,20 @@ def fa_singular(s, det_sign) -> CriterionVerdict:
 
     ``det_sign`` is +1, 0 or -1 (the sign of ``det T``).  For a positive
     determinant the condition reads ``1 - s1 - s2 - s3 + 2*min(s) >= 0``, for a
-    negative one ``1 - s1 - s2 - s3 >= 0``; at zero both coincide and the
-    larger margin is reported.
+    negative one ``1 - s1 - s2 - s3 >= 0``; within ``DET_SIGN_BAND`` of zero
+    both are evaluated and the larger margin is reported.
     """
-    arr = _singular_triple(s)
+    arr = _as_triple(s)
+    if np.any(np.diff(arr) > 0) or arr[2] < 0:
+        raise ValueError(f"singular values must be decreasing and nonnegative: {arr}")
     positive = float(_fa_singular_margin(arr, True))
     negative = float(_fa_singular_margin(arr, False))
-    return _branch_verdict("fa_singular", det_sign, positive, negative)
+    det_sign = float(det_sign)
+    if det_sign > DET_SIGN_BAND:
+        return _verdict("fa_singular", positive, branch="+")
+    if det_sign < -DET_SIGN_BAND:
+        return _verdict("fa_singular", negative, branch="-")
+    return _verdict("fa_singular", max(positive, negative), branch="0")
 
 
 def _theorem1_margin(non_unit: np.ndarray):
@@ -220,17 +210,3 @@ def z_condition(eta, k) -> CriterionVerdict:
     coupling = float(np.sum(e**2 * (2.0 * kv**2 - norm_sq)))
     margin = norm_sq**2 - 2.0 * norm_sq - 2.0 * coupling + quadruple_product(e)
     return _verdict("z_condition", margin)
-
-
-def z_condition_singular(s, k, det_sign) -> CriterionVerdict:
-    """Quartic condition in singular values and a determinant sign.
-
-    Positive branch: ``Z(s) >= 0``.  Negative branch: ``Z(s) + 16 det T >= 0``
-    with ``det T = -s1*s2*s3``, which is :func:`z_condition` at the signed
-    triple ``-s`` because ``q(-s) = q(s) - 16*s1*s2*s3``.  At zero determinant
-    both branches agree and the larger margin is reported.
-    """
-    arr = _singular_triple(s)
-    base = z_condition(arr, k).margin
-    negative = base - 16.0 * float(np.prod(arr))
-    return _branch_verdict("z_condition_singular", det_sign, base, negative)

@@ -1,4 +1,4 @@
-"""Superoperator spectra, qubit spectral classes, and majorization utilities."""
+"""Superoperator spectra and qubit spectral classes."""
 
 from dataclasses import dataclass
 
@@ -32,14 +32,6 @@ class Spectrum:
     def non_unit_values(self) -> np.ndarray:
         """The eigenvalues with the designated unit eigenvalue removed."""
         return non_unit_stack(self.values, self.unit_index)
-
-    def non_unit_product(self) -> float:
-        """Real part of the product of the non-unit eigenvalues (``det T`` for a channel)."""
-        return float(non_unit_product_stack(self.non_unit_values()))
-
-    def moduli_decreasing(self) -> np.ndarray:
-        """Moduli of the non-unit eigenvalues, sorted decreasing."""
-        return np.sort(np.abs(self.non_unit_values()))[::-1]
 
     def peripheral_count(self, tol: float = 1e-9) -> int:
         """Number of eigenvalues of modulus (within ``tol`` of) one.
@@ -76,30 +68,6 @@ class EtaTriple:
 
     def as_array(self) -> np.ndarray:
         return np.array([self.eta1, self.eta2, self.eta3])
-
-
-@dataclass(frozen=True)
-class SingularTriple:
-    """Three singular values in enforced decreasing order."""
-
-    s1: float
-    s2: float
-    s3: float
-
-    def __post_init__(self):
-        if not (self.s1 >= self.s2 >= self.s3 >= 0.0):
-            raise ValueError(
-                f"singular values must be decreasing and nonnegative, got "
-                f"({self.s1}, {self.s2}, {self.s3})"
-            )
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.s1, self.s2, self.s3])
-
-    @classmethod
-    def from_values(cls, values) -> "SingularTriple":
-        s = np.sort(np.abs(np.asarray(values, dtype=float)))[::-1]
-        return cls(float(s[0]), float(s[1]), float(s[2]))
 
 
 def eigenvalues_stack(matrices: np.ndarray) -> np.ndarray:
@@ -237,58 +205,3 @@ def classify_qubit_spectrum(sp: Spectrum):
         )
     z = complex_members[np.argmax(complex_members.imag)]
     return ConjugatePair(x=float(real_members[0].real), z=complex(z))
-
-
-def singular_values(m) -> np.ndarray:
-    """Singular values of a matrix, decreasing."""
-    return np.linalg.svd(np.asarray(m, dtype=float), compute_uv=False)
-
-
-@dataclass(frozen=True)
-class MajorizationReport:
-    """Weak/log majorization between eigenvalue moduli and singular values."""
-
-    weak_ok: bool
-    log_ok: bool
-    det_ok: bool
-    weak_margins: np.ndarray  # partial-sum slacks, one per prefix
-    log_margins: np.ndarray  # partial-product slacks, prefixes 1..N-1
-    det_margin: float  # signed full-product difference
-
-    @property
-    def all_ok(self) -> bool:
-        return self.weak_ok and self.log_ok and self.det_ok
-
-
-def check_majorization(moduli, singulars, atol: float = 1e-9) -> MajorizationReport:
-    """Check that singular values weakly and log majorize eigenvalue moduli.
-
-    Partial sums and products of the moduli must not exceed those of the
-    singular values, and the full products must agree.  Tolerances scale with
-    the magnitude of the compared quantity so the check stays meaningful for
-    matrices of any size the dense envelope supports.
-    """
-    m = np.sort(np.asarray(moduli, dtype=float))[::-1]
-    s = np.sort(np.asarray(singulars, dtype=float))[::-1]
-    if m.shape != s.shape:
-        raise ValueError(f"length mismatch: {m.shape} vs {s.shape}")
-    sum_m, sum_s = np.cumsum(m), np.cumsum(s)
-    weak_margins = sum_s - sum_m
-    weak_ok = bool(np.all(weak_margins >= -atol * np.maximum(1.0, np.abs(sum_s))))
-    prod_m, prod_s = np.cumprod(m), np.cumprod(s)
-    log_margins = (prod_s - prod_m)[:-1]
-    log_ok = bool(
-        np.all(log_margins >= -atol * np.maximum(1.0, np.abs(prod_s[:-1])))
-    )
-    det_margin = float(prod_s[-1] - prod_m[-1])
-    det_ok = bool(abs(det_margin) <= atol * max(1.0, abs(prod_s[-1])))
-    weak_margins.setflags(write=False)
-    log_margins.setflags(write=False)
-    return MajorizationReport(
-        weak_ok=weak_ok,
-        log_ok=log_ok,
-        det_ok=det_ok,
-        weak_margins=weak_margins,
-        log_margins=log_margins,
-        det_margin=det_margin,
-    )

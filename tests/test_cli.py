@@ -9,6 +9,7 @@ import pytest
 import chanspec as cs
 from chanspec import serialize
 from chanspec.cli import main
+from chanspec.criteria import VERDICT_ATOL
 
 from conftest import bit_flip_kraus
 
@@ -131,6 +132,9 @@ ZERO_T = [[0.0] * 3] * 3
         ("gauge", {"dim": "2", "format": "kraus", "data": [KRAUS_IDENTITY]}),
         ("analyze", {"spectrum": [[1, 0], [1, 0], [1, 0], [1, 0]], "dim": "2"}),
         ("analyze", {"spectrum": [[1, 0], [1, 0], [1, 0], [1, 0]], "dim": 2.7}),
+        # spectra no Hermiticity-preserving map has: not closed under conjugation
+        ("analyze", {"spectrum": [[1, 0], [0.5, 0.2], [0.3, -0.1], [0.1, -0.1]]}),
+        ("analyze", {"spectrum": [[1, 0], [0.5, 0.2], [0.3, 0], [0.1, 0]]}),
     ],
 )
 def test_malformed_payload_exits_1(tmp_path, capsys, command, payload):
@@ -141,6 +145,44 @@ def test_malformed_payload_exits_1(tmp_path, capsys, command, payload):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+def _contract_spectra():
+    """Non-unit qubit eigenvalues: random ones, the theorem1 boundary nudged by
+    +-1e-12 to +-1e-8 on each branch, and products inside the determinant band."""
+    rng = np.random.default_rng(20261019)
+    cases = []
+    for _ in range(8):
+        cases.append(list(rng.uniform(-1.2, 1.2, 3)))
+        x, r, t = rng.uniform(-1.2, 1.2), rng.uniform(0.0, 1.2), rng.uniform(0.0, np.pi)
+        z = r * np.exp(1j * t)
+        cases.append([x, z, np.conj(z)])
+    for delta in (1e-12, -1e-12, 1e-10, -1e-10, 1e-8, -1e-8):
+        a, b = rng.uniform(0.5, 1.0, 2)
+        cases.append([a, b, a + b - 1.0 + delta])  # margin 1 - a - b + c
+        a, b = rng.uniform(0.0, 0.5, 2)
+        cases.append([a, b, a + b - 1.0 - delta])  # margin 1 - a - b - |c|
+        x = rng.uniform(0.0, 1.0)
+        z = ((1.0 + x) / 2.0 - delta) * np.exp(1j * rng.uniform(0.1, 3.0))
+        cases.append([x, z, np.conj(z)])  # margin 1 + x - 2|z|
+    for product in (0.0, 1e-13, -1e-13, 9e-13, -9e-13):
+        a = rng.uniform(0.5, 1.0)
+        cases.append([a, 1.0 - a, product])
+    return cases
+
+
+@pytest.mark.parametrize("values", _contract_spectra())
+def test_exit_2_exactly_when_a_spectral_criterion_refutes(tmp_path, values):
+    sp = cs.build_spectrum([1.0, *values], 2)
+    refuted = not (
+        cs.theorem1(sp).satisfied
+        and cs.det_range_check(sp).satisfied
+        and cs.k_norm_bound(sp) >= -VERDICT_ATOL
+    )
+    path, out = tmp_path / "spec.json", tmp_path / "report.json"
+    path.write_text(json.dumps({"spectrum": [[1.0, 0.0]] + [[v.real, v.imag] for v in sp.values[1:]]}))
+    assert main(["analyze", str(path), "--out", str(out)]) == (2 if refuted else 0)
+    assert set(json.loads(out.read_text())["criteria"]) == {"theorem1", "det_range", "k_norm_bound"}
 
 
 @pytest.mark.parametrize(

@@ -223,18 +223,12 @@ class TestZCondition:
         assert report.completely_positive
         assert abs(report.min_eigenvalue) < 1e-12
 
-
-class TestZConditionSingular:
-    def test_unitary_positive_branch(self):
-        v = cs.z_condition_singular((1.0, 1.0, 1.0), np.zeros(3), det_sign=+1)
-        assert v.satisfied and v.margin == 0.0
-
     def test_negative_branch_det_minimum(self):
         # direct evaluation of the four factors: q(1/3, 1/3, 1/3) =
-        # 2 * (2/3)^3 = 16/27, and the branch subtracts 16 * s1 s2 s3 = 16/27,
-        # so the margin is 0: the determinant-saturating channel sits on the
+        # 2 * (2/3)^3 = 16/27, and q(-s) = q(s) - 16 * s1 s2 s3 = 0 at
+        # s = (1/3, 1/3, 1/3): the determinant-saturating channel sits on the
         # CP boundary
-        v = cs.z_condition_singular((1 / 3, 1 / 3, 1 / 3), np.zeros(3), det_sign=-1)
+        v = cs.z_condition((-1 / 3, -1 / 3, -1 / 3), np.zeros(3))
         assert v.satisfied
         assert abs(v.margin) < 1e-15
         q = cs.quadruple_product((1 / 3, 1 / 3, 1 / 3))
@@ -251,11 +245,11 @@ translations = st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3)
 @settings(max_examples=500, deadline=None)
 @given(singular_triples, translations)
 def test_negative_branch_is_z_condition_at_negated_triple(s, k):
-    # q(-s) = q(s) - 16 s1 s2 s3, so the negative branch is the signed-triple
-    # condition at -s (diag(-s) has determinant -s1 s2 s3)
-    branch = cs.z_condition_singular(s, k, det_sign=-1)
-    assert branch.branch == "-"
-    assert branch.margin == pytest.approx(cs.z_condition(-np.array(s), k).margin, abs=1e-12)
+    # q(-s) = q(s) - 16 s1 s2 s3, so the negative-determinant branch
+    # Z(s) - 16 s1 s2 s3 is the signed-triple condition at -s (diag(-s) has
+    # determinant -s1 s2 s3)
+    negative = cs.z_condition(-np.array(s), k).margin
+    assert negative == pytest.approx(cs.z_condition(s, k).margin - 16.0 * np.prod(s), abs=1e-12)
 
 
 @settings(max_examples=300, deadline=None)

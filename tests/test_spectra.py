@@ -86,66 +86,7 @@ class TestClassification:
             cs.classify_qubit_spectrum(sp)
 
 
-class TestSingularValues:
-    def test_identity(self):
-        np.testing.assert_allclose(cs.singular_values(np.eye(3)), [1, 1, 1])
-
-    def test_sign_removal(self):
-        np.testing.assert_allclose(
-            cs.singular_values(np.diag([1.0, 0.5, -0.5])), [1.0, 0.5, 0.5]
-        )
-
-    def test_nilpotent(self):
-        np.testing.assert_allclose(
-            cs.singular_values(np.array([[0.0, 1.0], [0.0, 0.0]])), [1.0, 0.0]
-        )
-
-    def test_squares_are_gram_eigenvalues(self):
-        rng = np.random.default_rng(3)
-        m = rng.standard_normal((4, 4))
-        s = cs.singular_values(m)
-        gram = np.sort(np.linalg.eigvalsh(m.T @ m))[::-1]
-        np.testing.assert_allclose(s**2, gram, atol=1e-10)
-
-
-class TestMajorization:
-    def test_nilpotent_matrix(self):
-        report = cs.check_majorization([0.0, 0.0], [1.0, 0.0])
-        assert report.all_ok
-        assert report.det_margin == 0.0
-
-    def test_equal_sequences_zero_margins(self):
-        report = cs.check_majorization([1.0, 1.0, 1.0], [1.0, 1.0, 1.0])
-        assert report.all_ok
-        np.testing.assert_allclose(report.weak_margins, 0, atol=1e-15)
-
-    def test_random_matrices_eigenmoduli_vs_singulars(self):
-        # moduli from the eigensolver, singular values from the SVD: two
-        # independent factorizations of the same matrix
-        rng = np.random.default_rng(12345)
-        count = 0
-        for size in range(2, 11):
-            batch = rng.standard_normal((1112, size, size))
-            moduli = np.abs(np.linalg.eigvals(batch))
-            singulars = np.linalg.svd(batch, compute_uv=False)
-            for m_row, s_row in zip(moduli, singulars):
-                report = cs.check_majorization(m_row, s_row)
-                assert report.all_ok, (m_row, s_row)
-                count += 1
-        assert count >= 10_000
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            cs.check_majorization([1.0], [1.0, 0.5])
-
-
 class TestTriples:
-    def test_singular_triple_order_enforced(self):
-        with pytest.raises(ValueError):
-            cs.SingularTriple(0.1, 0.5, 0.2)
-        t = cs.SingularTriple.from_values([-0.2, 0.9, 0.5])
-        assert (t.s1, t.s2, t.s3) == (0.9, 0.5, 0.2)
-
     def test_eta_triple_array(self):
         np.testing.assert_allclose(
             cs.EtaTriple(0.1, -0.2, 0.3).as_array(), [0.1, -0.2, 0.3]

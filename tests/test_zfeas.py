@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import chanspec as cs
-from chanspec.criteria import DET_SIGN_BAND
+from chanspec.criteria import VERDICT_ATOL
 from chanspec.exceptions import UnsupportedDimensionError
 from chanspec.zfeas import z_feasibility
 
@@ -13,14 +13,22 @@ def spectrum_of(values):
     return cs.build_spectrum(values, 2)
 
 
+def witness_eta(sp):
+    """Signed triple of the Pauli-diagonal channel diag(+-m) on the moduli m,
+    signed by the branch theorem1 took."""
+    sign = 1.0 if cs.theorem1(sp).branch == "+" else -1.0
+    return sign * np.abs(sp.non_unit_values())
+
+
 class TestZFeasibility:
     def test_identity_feasible_with_unitary_witness(self):
-        result = z_feasibility(spectrum_of([1.0, 1.0, 1.0, 1.0]))
+        sp = spectrum_of([1.0, 1.0, 1.0, 1.0])
+        result = z_feasibility(sp)
         assert result.feasible
-        assert abs(result.best_margin) <= 1e-9
-        s, k = result.witness
-        np.testing.assert_allclose(s.as_array(), [1.0, 1.0, 1.0], atol=1e-6)
-        np.testing.assert_allclose(k, 0.0, atol=1e-3)
+        assert result.best_margin == 0.0
+        assert result.certificate == ""
+        tm = cs.unital_qubit_from_eta(cs.EtaTriple(*witness_eta(sp)))
+        np.testing.assert_allclose(cs.transfer_to_superoperator(tm).matrix, np.eye(4), atol=1e-15)
 
     def test_negative_triple_infeasible(self):
         # the determinant-range test already refutes this spectrum; the
@@ -32,13 +40,13 @@ class TestZFeasibility:
 
     def test_k_norm_certificate_short_circuit(self):
         # B = 1 - 3 * 0.81 + 2 * (-0.729) < 0: the squared-translation bound
-        # alone rules the spectrum out before the joint margin is evaluated
+        # alone rules the spectrum out before theorem1 is evaluated
         sp = spectrum_of([1.0, 0.9, -0.9, 0.9])
         assert cs.k_norm_bound(sp) < -1e-12
         result = z_feasibility(sp)
         assert not result.feasible
         assert result.certificate == "k_norm_bound"
-        assert result.witness is None
+        assert result.best_margin == cs.k_norm_bound(sp)
 
     def test_sampled_channels_feasible(self):
         for seed in range(200):
@@ -50,27 +58,19 @@ class TestZFeasibility:
         sp = spectrum_of([1.0, 0.3 + 0.4j, 0.3 - 0.4j, 0.2])
         a = z_feasibility(sp)
         b = z_feasibility(sp)
-        assert a.best_margin == b.best_margin
-        assert np.array_equal(a.witness[1], b.witness[1])
+        assert a == b
 
     def test_requires_qubit(self):
         with pytest.raises(UnsupportedDimensionError):
             z_feasibility(cs.build_spectrum(np.ones(9), 3))
 
     def test_witness_margin_self_consistent(self):
-        # the reported margin must be reproduced by re-evaluating the
-        # objective at the reported witness
+        # the reported margin must be reproduced by the FA conditions at the
+        # witness diag(+-m), which is where theorem1 evaluates them
         for seed in range(40):
             sp = cs.spectrum(cs.kraus_to_superoperator(cs.sample_cptp(2, 4, seed)))
             result = z_feasibility(sp)
-            s, k = result.witness
-            moduli = sp.moduli_decreasing()
-            product = float(np.prod(sp.non_unit_values()).real)
-            det_sign = 1.0 if product > 1e-12 else (-1.0 if product < -1e-12 else 0.0)
-            fa = cs.fa_singular(s, det_sign=det_sign).margin
-            zc = cs.z_condition_singular(s, k, det_sign=det_sign).margin
-            assert min(fa, zc) >= result.best_margin - 1e-9
-
+            assert cs.fa_conditions(witness_eta(sp)).margin == pytest.approx(result.best_margin, abs=1e-12)
 
 
 moduli = st.floats(0.0, 1.2)
@@ -83,17 +83,26 @@ conjugate_pairs = st.tuples(signed, moduli, st.floats(0.0, np.pi)).map(
 
 @settings(max_examples=500, deadline=None)
 @given(st.one_of(real_triples, conjugate_pairs))
-def test_feasible_witness_is_realized_by_a_cp_channel(values):
-    # checked through the Choi oracle, not through the formulas behind the margin
+@example([-0.5 - 1e-10] * 3)  # k_norm_bound(-a, -a, -a) = (1 + a)^2 (1 - 2a), here -4.5e-10
+def test_verdict_is_theorem1_and_k_norm_bound(values):
     sp = spectrum_of([1.0, *values])
     result = z_feasibility(sp)
-    if not result.feasible or result.certificate == "k_norm_bound":
+    bound, verdict = cs.k_norm_bound(sp), cs.theorem1(sp)
+    assert result.feasible == (bound >= -VERDICT_ATOL and verdict.satisfied)
+    if bound < -VERDICT_ATOL:
+        assert (result.certificate, result.best_margin) == ("k_norm_bound", bound)
+    else:
+        assert result.best_margin == verdict.margin
+        assert result.certificate == ("" if verdict.satisfied else "theorem1")
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(real_triples, conjugate_pairs))
+def test_feasible_witness_is_realized_by_a_cp_channel(values):
+    # when theorem1 and the k-norm bound hold, the witness diag(+-m) is CP;
+    # checked through the Choi oracle, not through the formulas behind the margin
+    sp = spectrum_of([1.0, *values])
+    if not cs.theorem1(sp).satisfied or cs.k_norm_bound(sp) < -VERDICT_ATOL:
         return
-    s, k = result.witness
-    assert not np.any(k)
-    product = float(np.prod(sp.non_unit_values()).real)
-    # inside the determinant band both branches are evaluated and the
-    # positive one has the larger FA margin
-    sign = -1.0 if product < -DET_SIGN_BAND else 1.0
-    tm = cs.unital_qubit_from_eta(cs.EtaTriple(*(sign * s.as_array())))
+    tm = cs.unital_qubit_from_eta(cs.EtaTriple(*witness_eta(sp)))
     assert cs.is_completely_positive(cs.transfer_to_superoperator(tm), tol=1e-9).completely_positive
