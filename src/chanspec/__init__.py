@@ -52,7 +52,6 @@ from .gauge import (
     gauge_inverse,
     gateset_from_density,
     make_gateset,
-    matched_spectral_distance,
     random_gauge,
     sequence_probability,
     transform_gateset,
@@ -86,6 +85,7 @@ from .spectra import (
     Spectrum,
     build_spectrum,
     classify_qubit_spectrum,
+    matched_spectral_distance,
     spectrum,
 )
 from .synthesis import (

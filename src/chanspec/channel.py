@@ -335,6 +335,11 @@ def choi_min_eigenvalue_stack(matrices: np.ndarray) -> np.ndarray:
     return _choi_min_eigenvalue(matrices)
 
 
+def choi_tolerance(dim: int) -> float:
+    """Default tolerance of the Choi test: eigenvalues above ``-1e-10 * dim`` count as zero."""
+    return 1e-10 * dim
+
+
 def is_completely_positive(phi: Superoperator, tol: float = None) -> CPReport:
     """Choi-positivity test; the ground truth the spectral criteria are judged against.
 
@@ -343,7 +348,7 @@ def is_completely_positive(phi: Superoperator, tol: float = None) -> CPReport:
     phi : Superoperator
     tol : float, optional
         Negative eigenvalues above ``-tol`` count as zero.  Defaults to
-        ``1e-10 * dim``.
+        :func:`choi_tolerance` of the dimension.
 
     Raises
     ------
@@ -351,7 +356,7 @@ def is_completely_positive(phi: Superoperator, tol: float = None) -> CPReport:
         If the Choi matrix is not Hermitian within 1e-8.
     """
     if tol is None:
-        tol = 1e-10 * phi.dim
+        tol = choi_tolerance(phi.dim)
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
     min_eig = float(_choi_min_eigenvalue(phi.matrix))

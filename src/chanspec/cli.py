@@ -12,6 +12,7 @@ condition refuted complete positivity (or, for ``gauge``, invariance broke).
 
 import argparse
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -22,6 +23,7 @@ from .channel import (
     TransferMatrix,
     check_kraus_stack,
     choi_min_eigenvalue_stack,
+    choi_tolerance,
     is_completely_positive,
     kraus_to_superoperator,
     kraus_to_superoperator_stack,
@@ -78,15 +80,6 @@ def _to_superoperator(channel) -> Superoperator:
     return channel
 
 
-def _verdict_dict(verdict) -> dict:
-    return {
-        "criterion": verdict.criterion,
-        "satisfied": verdict.satisfied,
-        "margin": verdict.margin,
-        "branch": verdict.branch,
-    }
-
-
 def _spectral_class_dict(cls) -> dict:
     if isinstance(cls, AllReal):
         return {"kind": "all_real", "values": list(cls.values)}
@@ -124,9 +117,7 @@ def cmd_analyze(args) -> int:
             report["qubit_class"] = _spectral_class_dict(classify_qubit_spectrum(sp))
         except ChanspecError as exc:
             report["qubit_class"] = {"kind": "malformed", "detail": str(exc)}
-        verdicts = {}
-        verdicts["theorem1"] = _verdict_dict(theorem1(sp))
-        verdicts["det_range"] = _verdict_dict(det_range_check(sp))
+        verdicts = {"theorem1": asdict(theorem1(sp)), "det_range": asdict(det_range_check(sp))}
         bound = k_norm_bound(sp)
         k_entry = {
             "criterion": "k_norm_bound",
@@ -147,13 +138,8 @@ def cmd_analyze(args) -> int:
     report["metrics"] = metrics_from_spectrum(sp, unitarity=unitarity).to_dict()
 
     if phi is not None:
-        tol = args.tol if args.tol is not None else 1e-10 * phi.dim
-        cp = is_completely_positive(phi, tol=tol)
-        report["choi"] = {
-            "completely_positive": cp.completely_positive,
-            "min_eigenvalue": cp.min_eigenvalue,
-            "tol": cp.tol,
-        }
+        cp = is_completely_positive(phi, tol=args.tol)
+        report["choi"] = asdict(cp)
         refuted = refuted or not cp.completely_positive
 
     serialize.write_text(serialize.dumps(report), args.out)
@@ -203,9 +189,8 @@ def cmd_region(args) -> int:
         disc = pair_margins_stack(x, np.hypot(re, im), re)[0] >= -VERDICT_ATOL
         matrices, realizable = canonical_stack(x, re[disc], im[disc])
         # cell codes: 0 outside the disc, 1 no canonical channel, 2 + the Choi verdict
-        # at is_completely_positive's default tolerance, 1e-10 * dim
         codes = disc.astype(int)
-        codes[disc] += realizable * (1 + (choi_min_eigenvalue_stack(matrices) >= -1e-10 * 2))
+        codes[disc] += realizable * (1 + (choi_min_eigenvalue_stack(matrices) >= -choi_tolerance(2)))
         for row, im_text in enumerate(text[start : start + REGION_ROWS]):
             lines += [f"{r},{im_text},{_REGION_CELLS[c]}" for r, c in zip(text, codes[row])]
     serialize.write_text("\n".join(lines), args.out)
@@ -376,10 +361,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ChanspecError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_STRUCTURAL
-    except (OSError, ValueError) as exc:
+    except (ChanspecError, OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_STRUCTURAL
 

@@ -22,7 +22,7 @@ import numpy as np
 from .basis import basis_change_matrix, from_block, to_block
 from .channel import Superoperator, first_row_deviation
 from .exceptions import NumericsError, StructuralError
-from .spectra import spectrum
+from .spectra import eigenvalues_stack, matched_spectral_distance
 
 CONDITION_CAP = 1e4
 SEQUENCE_IMAG_ATOL = 1e-9
@@ -257,18 +257,6 @@ class OrbitInvarianceReport:
     n_sequences: int
 
 
-def matched_spectral_distance(values_a, values_b) -> float:
-    """Largest matched eigenvalue distance under the optimal assignment."""
-    # imported here: scipy.optimize is most of the package's import time
-    from scipy.optimize import linear_sum_assignment
-
-    a = np.asarray(values_a, dtype=complex)
-    b = np.asarray(values_b, dtype=complex)
-    cost = np.abs(a[:, None] - b[None, :])
-    rows, cols = linear_sum_assignment(cost)
-    return float(np.max(cost[rows, cols]))
-
-
 def _probability_chunks(gates: np.ndarray, state: np.ndarray, effect: np.ndarray, max_len: int):
     """Probabilities of all sequences up to ``max_len`` in ``itertools.product`` order, in chunks;
     leading axes of ``gates`` ``(..., K, n, n)`` are gate sets.  A level is the gates times the
@@ -312,10 +300,7 @@ def verify_orbit_invariance(gs: GateSet, x: GaugeTransform, max_len: int) -> Orb
     for before, after in _probability_chunks(gates, *state_effect, max_len):
         worst_prob = max(worst_prob, float(np.max(np.abs(before - after))))
         count += before.size
-    worst_spectral = 0.0
-    for before, after in zip(gs.gates, transformed.gates):
-        dist = matched_spectral_distance(spectrum(before).values, spectrum(after).values)
-        worst_spectral = max(worst_spectral, dist)
+    worst_spectral = max(map(matched_spectral_distance, *eigenvalues_stack(gates)))
     return OrbitInvarianceReport(
         max_prob_deviation=worst_prob,
         max_spectral_deviation=worst_spectral,

@@ -13,7 +13,7 @@ import numpy as np
 from .channel import KrausSet, Superoperator, TransferMatrix
 from .channel import kraus_to_superoperator, superoperator_to_transfer
 from .exceptions import StructuralError
-from .spectra import Spectrum, spectrum
+from .spectra import CONJUGATION_PAIR_TOL, Spectrum, spectrum
 
 TRACE_IMAG_ATOL = 1e-10
 MC_BLOCK = 8192  # Haar samples per stacked pass of the Monte Carlo estimators, whatever n
@@ -25,20 +25,24 @@ class MonteCarloEstimate:
     std_error: float
 
 
-def _fidelity_from_trace(trace: complex, d: int, name: str) -> float:
-    if abs(trace.imag) > TRACE_IMAG_ATOL * max(1.0, abs(trace.real)):
+def _fidelity_from_trace(trace: complex, d: int, name: str, atol: float) -> float:
+    if abs(trace.imag) > atol:
         raise StructuralError(f"{name} has imaginary residue {trace.imag:.3e}")
     return (trace.real + d) / (d * (d + 1))
 
 
 def avg_gate_fidelity(phi: Superoperator) -> float:
     """Average gate fidelity ``(Tr Phi + d) / (d (d + 1))`` of a TP channel."""
-    return _fidelity_from_trace(complex(np.trace(phi.matrix)), phi.dim, "superoperator trace")
+    trace = complex(np.trace(phi.matrix))
+    atol = TRACE_IMAG_ATOL * max(1.0, abs(trace.real))
+    return _fidelity_from_trace(trace, phi.dim, "superoperator trace", atol)
 
 
 def avg_gate_fidelity_from_spectrum(sp: Spectrum) -> float:
-    """Same quantity from the eigenvalues alone (the trace is their sum)."""
-    return _fidelity_from_trace(complex(np.sum(sp.values)), sp.dim, "eigenvalue sum")
+    """Same quantity from the eigenvalues alone (the trace is their sum); closure under
+    conjugation within ``CONJUGATION_PAIR_TOL`` bounds the sum's imaginary part by ``n * tol / 2``."""
+    atol = len(sp.values) * CONJUGATION_PAIR_TOL / 2
+    return _fidelity_from_trace(complex(np.sum(sp.values)), sp.dim, "eigenvalue sum", atol)
 
 
 def haar_pure_states(dim: int, n: int, rng: np.random.Generator) -> np.ndarray:

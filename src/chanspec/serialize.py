@@ -18,7 +18,7 @@ import numpy as np
 
 from .channel import KrausSet, Superoperator, TransferMatrix
 from .exceptions import MalformedSpectrumError, StructuralError
-from .spectra import Spectrum, build_spectrum, conjugation_pairing
+from .spectra import Spectrum, build_spectrum, check_conjugation_closed
 
 
 def complex_to_pair(value):
@@ -142,7 +142,7 @@ def spectrum_from_dict(payload: dict) -> Spectrum:
     declared = payload.get("dim")
     if declared is not None and _declared_dim(declared, MalformedSpectrumError) != dim:
         raise StructuralError(f"declared dim {declared} inconsistent with {len(values)} values")
-    conjugation_pairing(values)  # a Hermiticity-preserving map has a conjugation-closed spectrum
+    check_conjugation_closed(values)  # a Hermiticity-preserving map has a conjugation-closed spectrum
     return build_spectrum(values, dim)
 
 

@@ -138,45 +138,67 @@ def spectrum(phi) -> Spectrum:
     return build_spectrum(eigenvalues_stack(matrix), phi.dim)
 
 
-def conjugation_pairing(values, tol: float = CONJUGATION_PAIR_TOL):
-    """Greedy nearest-conjugate matching.
+def _has_perfect_matching(allowed: np.ndarray) -> bool:
+    """Whether the boolean ``(n, n)`` biadjacency has a perfect matching.
 
-    Returns the list of index pairs ``(i, j)`` with ``values[j]`` matched to
-    ``conj(values[i])``; a value may pair with itself when (near) real.
-
-    Raises
-    ------
-    MalformedSpectrumError
-        If some value has no partner within ``tol``.
+    Each row is matched along a shortest augmenting path, found breadth first:
+    a recursive search could nest once per row, past Python's recursion limit.
     """
-    values = np.asarray(values, dtype=complex)
-    unpaired = list(range(len(values)))
-    pairs = []
-    while unpaired:
-        i = unpaired[0]
-        target = np.conj(values[i])
-        best_j, best_dist = i, abs(values[i] - target)
-        for j in unpaired[1:]:
-            dist = abs(values[j] - target)
-            if dist < best_dist:
-                best_j, best_dist = j, dist
-        if best_dist > tol:
-            raise MalformedSpectrumError(
-                f"no conjugate partner for eigenvalue {values[i]} within {tol:.1e}"
-            )
-        pairs.append((i, best_j))
-        unpaired.remove(i)
-        if best_j != i:
-            unpaired.remove(best_j)
-    return pairs
+    neighbours = [[col for col, ok in enumerate(row) if ok] for row in allowed.tolist()]
+    owner = {}  # the row matched to each column
 
-
-def is_conjugation_closed(values, tol: float = CONJUGATION_PAIR_TOL) -> bool:
-    try:
-        conjugation_pairing(values, tol)
-    except MalformedSpectrumError:
+    def augment(root):
+        via, queue = {}, [(root, None)]  # via: the row, and the column it held, that reached a column
+        for row, held in queue:  # the queue grows while it is read
+            for col in neighbours[row]:
+                if col in via:
+                    continue
+                via[col] = row, held
+                if col not in owner:
+                    while col is not None:  # each row on the path takes the column it reached
+                        owner[col], col = via[col]
+                    return True
+                queue.append((owner[col], col))
         return False
-    return True
+
+    return all(augment(root) for root in range(len(neighbours)))
+
+
+def matched_spectral_distance(values_a, values_b) -> float:
+    """Bottleneck distance between two eigenvalue multisets of one size.
+
+    The least ``eps`` for which some one-to-one matching pairs every value of
+    ``values_a`` with a value of ``values_b`` within ``eps``.  The search
+    starts at the farthest nearest neighbour, which no matching can beat, and
+    bisects the sorted pairwise distances above it.
+    """
+    a = np.asarray(values_a, dtype=complex).reshape(-1)
+    b = np.asarray(values_b, dtype=complex).reshape(-1)
+    if a.size != b.size:
+        raise ValueError(f"cannot match {a.size} eigenvalues with {b.size}")
+    cost = np.abs(a[:, None] - b[None, :])
+    bound = max(cost.min(axis=0).max(), cost.min(axis=1).max())
+    if _has_perfect_matching(cost <= bound):  # the usual case: the bound is met
+        return float(bound)
+    levels = np.unique(cost[cost > bound])
+    lo, hi = 0, len(levels) - 1  # the largest distance admits every pair
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _has_perfect_matching(cost <= levels[mid]):
+            hi = mid
+        else:
+            lo = mid + 1
+    return float(levels[lo])
+
+
+def check_conjugation_closed(values, tol: float = CONJUGATION_PAIR_TOL) -> None:
+    """Raise :class:`MalformedSpectrumError` unless ``values`` match their conjugates within ``tol``."""
+    distance = matched_spectral_distance(values, np.conj(values))
+    if distance > tol:
+        raise MalformedSpectrumError(
+            f"spectrum is not closed under conjugation within {tol:.1e}: "
+            f"its best matching to the conjugates is {distance:.3e} apart"
+        )
 
 
 def classify_qubit_spectrum(sp: Spectrum):
@@ -192,7 +214,7 @@ def classify_qubit_spectrum(sp: Spectrum):
     if sp.dim != 2:
         raise UnsupportedDimensionError(f"qubit classification needs dim 2, got {sp.dim}")
     rest = sp.non_unit_values()
-    conjugation_pairing(rest)
+    check_conjugation_closed(rest)
     if np.all(np.abs(rest.imag) < REAL_CLASSIFICATION_TOL):
         ordered = sorted(rest.real, key=abs, reverse=True)
         return AllReal(values=tuple(float(v) for v in ordered))

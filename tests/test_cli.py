@@ -87,6 +87,13 @@ class TestAnalyze:
         assert main(["analyze", str(path)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("im, code", [(-0.199999995, 0), (-0.19999998, 1)])
+    def test_closure_tolerance_bounds_the_trace_residue(self, tmp_path, im, code):
+        # within 1e-8 of closed the eigenvalue sum keeps an imaginary part of 5e-9
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"spectrum": [[1, 0], [0.5, 0], [0.3, 0.2], [0.3, im]]}))
+        assert main(["analyze", str(path), "--out", str(tmp_path / "report.json")]) == code
+
     def test_higher_dim_skips_qubit_criteria(self, tmp_path):
         phi = cs.kraus_to_superoperator(cs.sample_cptp(3, 2, seed=0))
         path = write_channel(tmp_path, "qutrit.json", phi)
@@ -414,3 +421,16 @@ def test_module_entry_point():
     )
     assert run.returncode == 0, run.stderr
     assert json.loads(run.stdout)["n"] == 3
+
+
+def test_gauge_runs_without_scipy(tmp_path):
+    gate = write_channel(tmp_path, "g.json", bit_flip_kraus(0.25))
+    src = os.path.dirname(os.path.dirname(cs.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    script = (
+        "import sys; from chanspec.cli import main; "
+        f"code = main(['gauge', '--gates', {gate!r}, '--out', {str(tmp_path / 'r.json')!r}]); "
+        "print(code, 'scipy' in sys.modules)"
+    )
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    assert run.stdout.split() == ["0", "False"], run.stderr

@@ -5,7 +5,7 @@ import pytest
 
 import chanspec as cs
 from chanspec import serialize
-from chanspec.exceptions import StructuralError
+from chanspec.exceptions import MalformedSpectrumError, StructuralError
 
 from conftest import amplitude_damping_kraus
 
@@ -57,6 +57,19 @@ class TestSpectrumPayload:
     def test_bad_length_rejected(self):
         with pytest.raises(StructuralError):
             serialize.spectrum_from_dict({"spectrum": [[1.0, 0.0]] * 3})
+
+    def test_closure_is_an_exact_matching(self):
+        # taking nearest free partners in turn pairs indices 5 and 7, which leaves 6
+        # only 8, 1.7e-8 away; the matching 5-8, 6-7 stays within 1e-8
+        values = [1, 0.5, 0.4, 0.3, 0.2, 0.13933137520170036 - 0.4220219287445409j,
+                  0.13933138741446965 - 0.42202193504316493j,
+                  0.13933138006658785 + 0.42202193325800386j,
+                  0.13933137017386366 + 0.42202193478433253j]
+        pairs = [[complex(v).real, complex(v).imag] for v in values]
+        assert serialize.spectrum_from_dict({"spectrum": pairs}).dim == 3
+        pairs[-1] = [0.13933137017386366, 0.43]
+        with pytest.raises(MalformedSpectrumError):
+            serialize.spectrum_from_dict({"spectrum": pairs})
 
 
 class TestDeterministicDumps:

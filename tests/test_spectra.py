@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -49,8 +51,7 @@ class TestSpectrum:
             sp = cs.spectrum(phi)
             assert np.max(np.abs(sp.values)) <= 1 + 1e-9
             assert abs(sp.values[sp.unit_index] - 1) <= 1e-9
-            pairs = cs.spectra.conjugation_pairing(sp.values)
-            assert pairs  # closure holds for the spectrum of a real block form
+            cs.spectra.check_conjugation_closed(sp.values)  # the spectrum of a real block form
 
 
 class TestClassification:
@@ -110,4 +111,19 @@ def test_real_matrix_spectra_are_conjugation_closed(values):
         else:
             closed.append([v, np.conj(v)])
     flat = [v for pair in closed for v in pair]
-    assert cs.spectra.is_conjugation_closed(flat)
+    cs.spectra.check_conjugation_closed(flat)
+
+
+def test_matched_spectral_distance_is_the_bottleneck():
+    # values drawn from a small lattice, so sets repeat values and distances tie
+    rng = np.random.default_rng(20261020)
+    lattice = np.array([complex(re, im) for re in (-0.5, 0, 0.5, 1) for im in (-0.5, 0, 0.5)])
+    for _ in range(300):
+        n = int(rng.integers(1, 7))
+        a, b = (rng.choice(lattice, n) + rng.choice([0, 1e-9], n) for _ in range(2))
+        cost = np.abs(a[:, None] - b[None, :])
+        perms = np.array(list(itertools.permutations(range(n))))
+        brute = cost[np.arange(n), perms].max(axis=1).min()
+        assert cs.matched_spectral_distance(a, b) == brute
+    # every pair ties: a depth-first augmenting search would nest 1,099 calls deep
+    assert cs.matched_spectral_distance(np.zeros(1100), np.zeros(1100)) == 0.0
