@@ -27,10 +27,8 @@ from .criteria import (
     fa_conditions,
     fa_singular,
     k_norm_bound,
-    quadruple_product,
     real_tetrahedron,
     theorem1,
-    z_condition,
 )
 from .exceptions import (
     ChanspecError,

@@ -18,11 +18,6 @@ from functools import lru_cache
 import numpy as np
 
 
-def basis_id(dim: int) -> str:
-    """Identifier of the fixed basis for a given Hilbert-space dimension."""
-    return f"gellmann-d{dim}"
-
-
 @lru_cache(maxsize=None)
 def hermitian_basis(dim: int) -> np.ndarray:
     """Return the fixed Hermitian orthonormal basis as a (dim**2, dim, dim) array.

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import basis_id, from_block, to_block
+from .basis import from_block, to_block
 from .exceptions import (
     NonHermitianImageError,
     NotTracePreservingError,
@@ -52,7 +52,7 @@ class KrausSet:
     operators: tuple
 
     @classmethod
-    def from_operators(cls, operators, atol: float = KRAUS_TP_ATOL) -> "KrausSet":
+    def from_operators(cls, operators) -> "KrausSet":
         """Validate and freeze a list of ``d x d`` Kraus operators.
 
         Raises
@@ -60,7 +60,7 @@ class KrausSet:
         StructuralError
             If shapes are inconsistent, the list is empty or longer than
             ``d**2``, or ``sum K^dag K`` deviates from the identity by more
-            than ``atol`` in any entry.
+            than ``KRAUS_TP_ATOL`` in any entry.
         """
         ops = [np.asarray(k, dtype=complex) for k in operators]
         if not ops:
@@ -69,7 +69,7 @@ class KrausSet:
             raise StructuralError(
                 f"Kraus operators must share one shape, got {[k.shape for k in ops]}"
             )
-        stack = check_kraus_stack(np.stack(ops), atol)
+        stack = check_kraus_stack(np.stack(ops))
         return cls(dim=stack.shape[-1], operators=tuple(_frozen(k) for k in stack))
 
 
@@ -98,8 +98,8 @@ class Superoperator:
         rho = np.asarray(rho, dtype=complex)
         return (self.matrix @ rho.reshape(-1)).reshape(self.dim, self.dim)
 
-    def is_trace_preserving(self, atol: float = SUPEROP_TP_ATOL) -> bool:
-        return bool(trace_preservation_deviation(self.matrix) <= atol)
+    def is_trace_preserving(self) -> bool:
+        return bool(trace_preservation_deviation(self.matrix) <= SUPEROP_TP_ATOL)
 
 
 @dataclass(frozen=True)
@@ -107,17 +107,16 @@ class TransferMatrix:
     """Real block form ``(1, 0; k, T)`` in the fixed Hermitian basis.
 
     ``translation`` is the length ``d**2 - 1`` vector ``k`` and ``bloch_map``
-    the ``(d**2 - 1) x (d**2 - 1)`` matrix ``T``.  ``basis_id`` names the basis
-    the blocks refer to.
+    the ``(d**2 - 1) x (d**2 - 1)`` matrix ``T``, both in the basis of
+    :func:`~chanspec.basis.hermitian_basis`.
     """
 
     dim: int
     translation: np.ndarray
     bloch_map: np.ndarray
-    basis_id: str
 
     @classmethod
-    def from_blocks(cls, translation, bloch_map, dim=None) -> "TransferMatrix":
+    def from_blocks(cls, translation, bloch_map) -> "TransferMatrix":
         try:
             k, t = np.asarray(translation), np.asarray(bloch_map)
         except ValueError as exc:  # nested lists of unequal lengths
@@ -134,12 +133,12 @@ class TransferMatrix:
             raise StructuralError(
                 f"translation length {n} inconsistent with Bloch map shape {t.shape}"
             )
-        d = int(round(np.sqrt(n + 1))) if dim is None else dim
+        d = int(round(np.sqrt(n + 1)))
         if d * d - 1 != n:
             raise StructuralError(f"block size {n} is not d**2 - 1 for any integer d")
         _require_finite(k, "translation")
         _require_finite(t, "Bloch map")
-        return cls(dim=d, translation=_frozen(k), bloch_map=_frozen(t), basis_id=basis_id(d))
+        return cls(dim=d, translation=_frozen(k), bloch_map=_frozen(t))
 
     def full_matrix(self) -> np.ndarray:
         """Reconstruct the full real matrix with first row (1, 0, ..., 0)."""
@@ -173,7 +172,7 @@ class CPReport:
     tol: float
 
 
-def check_kraus_stack(operators, atol: float = KRAUS_TP_ATOL) -> np.ndarray:
+def check_kraus_stack(operators) -> np.ndarray:
     """Validate Kraus sets stacked as ``(..., r, d, d)``; return them as a complex array.
 
     Raises
@@ -183,7 +182,7 @@ def check_kraus_stack(operators, atol: float = KRAUS_TP_ATOL) -> np.ndarray:
         ``d**2``, or an entry is not finite.
     NotTracePreservingError
         If ``sum K^dag K`` of some set deviates from the identity by more
-        than ``atol`` in any entry (the message gives the largest deviation).
+        than ``KRAUS_TP_ATOL`` in any entry (the message gives the largest deviation).
     """
     ops = np.asarray(operators, dtype=complex)
     if ops.ndim < 3 or ops.shape[-3] == 0 or ops.shape[-1] != ops.shape[-2]:
@@ -196,9 +195,9 @@ def check_kraus_stack(operators, atol: float = KRAUS_TP_ATOL) -> np.ndarray:
         raise StructuralError(f"at most d**2 = {dim * dim} Kraus operators allowed, got {rank}")
     completeness = (ops.conj().swapaxes(-1, -2) @ ops).sum(axis=-3)
     deviation = np.max(np.abs(completeness - np.eye(dim)))
-    if deviation > atol:
+    if deviation > KRAUS_TP_ATOL:
         raise NotTracePreservingError(
-            f"sum K^dag K deviates from identity by {deviation:.3e} (atol {atol:.1e})"
+            f"sum K^dag K deviates from identity by {deviation:.3e} (atol {KRAUS_TP_ATOL:.1e})"
         )
     return ops
 
@@ -287,20 +286,11 @@ def superoperator_to_transfer(phi: Superoperator) -> TransferMatrix:
     Raises the errors of :func:`superoperator_to_transfer_stack`.
     """
     full = superoperator_to_transfer_stack(phi.matrix)
-    return TransferMatrix(
-        dim=phi.dim,
-        translation=_frozen(full[1:, 0]),
-        bloch_map=_frozen(full[1:, 1:]),
-        basis_id=basis_id(phi.dim),
-    )
+    return TransferMatrix(dim=phi.dim, translation=_frozen(full[1:, 0]), bloch_map=_frozen(full[1:, 1:]))
 
 
 def transfer_to_superoperator(tm: TransferMatrix) -> Superoperator:
     """Inverse basis change; round-trips with :func:`superoperator_to_transfer`."""
-    if tm.basis_id != basis_id(tm.dim):
-        raise StructuralError(
-            f"unknown basis {tm.basis_id!r}; expected {basis_id(tm.dim)!r}"
-        )
     return Superoperator(dim=tm.dim, matrix=_frozen(from_block(tm.full_matrix(), tm.dim)))
 
 
@@ -320,19 +310,15 @@ def choi_matrix(phi: Superoperator) -> ChoiMatrix:
     return ChoiMatrix(dim=phi.dim, matrix=_frozen(_choi_stack(phi.matrix)))
 
 
-def _choi_min_eigenvalue(matrices: np.ndarray) -> np.ndarray:
+def choi_min_eigenvalue_stack(matrices: np.ndarray) -> np.ndarray:
+    """Smallest Choi eigenvalue of each superoperator in a ``(..., d**2, d**2)`` stack;
+    :func:`is_completely_positive` is the one-channel case, with the same errors."""
     choi = _choi_stack(matrices)
     adjoint = choi.conj().swapaxes(-1, -2)
     residue = np.abs(choi - adjoint).max(initial=0.0)
     if residue > CHOI_HERMITICITY_ATOL:
         raise StructuralError(f"Choi matrix not Hermitian: residue {residue:.3e}")
     return np.linalg.eigvalsh((choi + adjoint) / 2.0)[..., 0]
-
-
-def choi_min_eigenvalue_stack(matrices: np.ndarray) -> np.ndarray:
-    """Smallest Choi eigenvalue of each superoperator in a ``(..., d**2, d**2)`` stack;
-    :func:`is_completely_positive` is the one-channel case, with the same errors."""
-    return _choi_min_eigenvalue(matrices)
 
 
 def choi_tolerance(dim: int) -> float:
@@ -359,5 +345,5 @@ def is_completely_positive(phi: Superoperator, tol: float = None) -> CPReport:
         tol = choi_tolerance(phi.dim)
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
-    min_eig = float(_choi_min_eigenvalue(phi.matrix))
+    min_eig = float(choi_min_eigenvalue_stack(phi.matrix))
     return CPReport(completely_positive=min_eig >= -tol, min_eigenvalue=min_eig, tol=tol)

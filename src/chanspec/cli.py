@@ -11,6 +11,7 @@ condition refuted complete positivity (or, for ``gauge``, invariance broke).
 """
 
 import argparse
+import numbers
 import sys
 from dataclasses import asdict
 
@@ -148,8 +149,10 @@ def cmd_analyze(args) -> int:
 
 def _finite_floats(values, name: str) -> list:
     try:
+        if any(isinstance(v, bool) or not isinstance(v, numbers.Real) for v in values):
+            raise TypeError(f"got {values!r}")  # float() would take a string or a boolean
         values = [float(v) for v in values]
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, OverflowError) as exc:
         raise StructuralError(f"{name} must be numbers: {exc}") from exc
     if not all(np.isfinite(values)):
         raise StructuralError(f"{name} must be finite, got {values}")

@@ -1,10 +1,8 @@
-"""Necessary complete-positivity criteria for qubit channels.
+"""Complete-positivity criteria for qubit channels.
 
-Every test here is one-directional: a violated verdict certifies the channel
-(or candidate spectrum) cannot be completely positive, while a satisfied
-verdict is inconclusive.  The single documented exception is a normal Bloch
-map, whose singular values equal its eigenvalue moduli, making
-:func:`theorem1` sufficient as well.
+A violated verdict certifies that the channel (or candidate spectrum) cannot
+be completely positive.  A satisfied verdict on a given channel is
+inconclusive; on a bare spectrum :func:`theorem1` is exact, see there.
 """
 
 from dataclasses import dataclass
@@ -15,7 +13,6 @@ from .exceptions import UnsupportedDimensionError
 from .spectra import EtaTriple, Spectrum, non_unit_product_stack
 
 VERDICT_ATOL = 1e-12
-DET_SIGN_BAND = 1e-12
 
 
 @dataclass(frozen=True)
@@ -35,12 +32,7 @@ class CriterionVerdict:
 
 def _verdict(criterion: str, margin: float, branch: str = "") -> CriterionVerdict:
     margin = float(margin)
-    return CriterionVerdict(
-        criterion=criterion,
-        satisfied=margin >= -VERDICT_ATOL,
-        margin=margin,
-        branch=branch,
-    )
+    return CriterionVerdict(criterion, margin >= -VERDICT_ATOL, margin, branch)
 
 
 def _as_triple(values) -> np.ndarray:
@@ -62,18 +54,11 @@ def _fa_slacks(e1, e2, e3) -> tuple:
     )
 
 
-def quadruple_product(eta) -> float:
-    """Product of the four factors ``(1 +- eta_1 +- eta_2 +- eta_3)`` with an
-    even number of minus signs."""
-    a, b, c, d = _fa_slacks(*_as_triple(eta))
-    return float(a * b * c * d)
-
-
 def fa_conditions(eta) -> CriterionVerdict:
     """Exact unital-qubit CP test in the signed triple: ``1 +- eta_3 >= |eta_1 +- eta_2|``.
 
-    The four linear slacks are the factors of :func:`quadruple_product`; the
-    margin is their minimum.
+    The margin is the least of the four slacks ``1 +- eta_1 +- eta_2 +- eta_3``
+    with an even number of minus signs.
     """
     return _verdict("fa_conditions", min(_fa_slacks(*_as_triple(eta))))
 
@@ -87,22 +72,16 @@ def _fa_singular_margin(s: np.ndarray, positive_branch) -> np.ndarray:
 def fa_singular(s, det_sign) -> CriterionVerdict:
     """The same test rewritten in decreasing singular values plus a determinant sign.
 
-    ``det_sign`` is +1, 0 or -1 (the sign of ``det T``).  For a positive
-    determinant the condition reads ``1 - s1 - s2 - s3 + 2*min(s) >= 0``, for a
-    negative one ``1 - s1 - s2 - s3 >= 0``; within ``DET_SIGN_BAND`` of zero
-    both are evaluated and the larger margin is reported.
+    For ``det_sign >= 0`` (the sign of ``det T``) the condition reads
+    ``1 - s1 - s2 - s3 + 2*min(s) >= 0``, for a negative sign
+    ``1 - s1 - s2 - s3 >= 0``: the branch rule of :func:`theorem1`.  At sign
+    zero ``min(s) = 0`` and the two branches agree.
     """
     arr = _as_triple(s)
     if np.any(np.diff(arr) > 0) or arr[2] < 0:
         raise ValueError(f"singular values must be decreasing and nonnegative: {arr}")
-    positive = float(_fa_singular_margin(arr, True))
-    negative = float(_fa_singular_margin(arr, False))
-    det_sign = float(det_sign)
-    if det_sign > DET_SIGN_BAND:
-        return _verdict("fa_singular", positive, branch="+")
-    if det_sign < -DET_SIGN_BAND:
-        return _verdict("fa_singular", negative, branch="-")
-    return _verdict("fa_singular", max(positive, negative), branch="0")
+    positive = float(det_sign) >= 0.0
+    return _verdict("fa_singular", _fa_singular_margin(arr, positive), branch="+" if positive else "-")
 
 
 def _theorem1_margin(non_unit: np.ndarray):
@@ -112,12 +91,18 @@ def _theorem1_margin(non_unit: np.ndarray):
 
 
 def theorem1(sp: Spectrum) -> CriterionVerdict:
-    """Gauge-invariant necessary CP test on the moduli of the non-unit eigenvalues.
+    """Gauge-invariant CP test on the moduli ``m`` of the non-unit eigenvalues.
 
     For a nonnegative eigenvalue product the test is
     ``1 - (m1 + m2 + m3) + 2*min(m) >= 0``; for a negative product the last
-    term is dropped.  Violation certifies non-CP; satisfaction is inconclusive
-    (sufficient only when the Bloch map is normal).
+    term is dropped.  Violation certifies that no CP channel has the spectrum.
+
+    On a bare spectrum the test is exact: every spectrum it admits is the
+    spectrum of a CP channel, namely the canonical channel of
+    :mod:`~chanspec.synthesis` (the disc ``|z| <= (1 + x)/2`` for a conjugate
+    pair, the tetrahedron for an all-real spectrum).  For a given channel it
+    is only necessary: its singular values may exceed the moduli, unless the
+    Bloch map is normal.
     """
     if sp.dim != 2:
         raise UnsupportedDimensionError(f"theorem1 needs a qubit spectrum, got dim {sp.dim}")
@@ -195,18 +180,3 @@ def qubit_criteria_stack(non_unit: np.ndarray):
     """
     return _theorem1_margin(non_unit)[0], _det_range_margin(non_unit), _k_norm_bound(non_unit)
 
-
-def z_condition(eta, k) -> CriterionVerdict:
-    """Translation-aware quartic condition in the signed triple.
-
-    ``Z = |k|^4 - 2|k|^2 - 2 sum_i eta_i^2 (2 k_i^2 - |k|^2) + q(eta)`` with
-    ``q`` the quadruple product; the verdict margin is ``Z`` itself.
-    """
-    e = _as_triple(eta)
-    kv = np.asarray(k, dtype=float)
-    if kv.shape != (3,):
-        raise ValueError(f"translation must be a 3-vector, got shape {kv.shape}")
-    norm_sq = float(kv @ kv)
-    coupling = float(np.sum(e**2 * (2.0 * kv**2 - norm_sq)))
-    margin = norm_sq**2 - 2.0 * norm_sq - 2.0 * coupling + quadruple_product(e)
-    return _verdict("z_condition", margin)

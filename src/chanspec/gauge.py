@@ -26,6 +26,7 @@ from .spectra import eigenvalues_stack, matched_spectral_distance
 
 CONDITION_CAP = 1e4
 SEQUENCE_IMAG_ATOL = 1e-9
+STATE_EFFECT_ATOL = 1e-10  # Hermiticity, trace and eigenvalue slack of a gate set's state and effect
 ORBIT_BLOCK = 4096  # vectors per stacked pass of `verify_orbit_invariance`, whatever max_len
 
 
@@ -38,7 +39,7 @@ class GaugeTransform:
     condition_estimate: float
 
 
-def gauge_from_matrix(matrix, cap: float = CONDITION_CAP) -> GaugeTransform:
+def gauge_from_matrix(matrix) -> GaugeTransform:
     """Validate and wrap a raw gauge matrix.
 
     Raises
@@ -47,7 +48,7 @@ def gauge_from_matrix(matrix, cap: float = CONDITION_CAP) -> GaugeTransform:
         If the matrix is not square of size ``d**2``, is complex, or its first
         row differs from ``(1, 0, ..., 0)``.
     NumericsError
-        If the condition estimate exceeds ``cap``.
+        If the condition estimate exceeds ``CONDITION_CAP``.
     """
     x = np.asarray(matrix, dtype=float)
     if x.ndim != 2 or x.shape[0] != x.shape[1]:
@@ -55,19 +56,17 @@ def gauge_from_matrix(matrix, cap: float = CONDITION_CAP) -> GaugeTransform:
     dim = int(round(np.sqrt(x.shape[0])))
     if dim * dim != x.shape[0]:
         raise StructuralError(f"gauge size {x.shape[0]} is not a perfect square")
-    first_row = np.zeros(x.shape[0])
-    first_row[0] = 1.0
-    if not np.array_equal(x[0], first_row):
+    if not np.array_equal(x[0], np.eye(x.shape[0])[0]):
         raise StructuralError("gauge first row must equal (1, 0, ..., 0) exactly")
     condition = float(np.linalg.cond(x))
-    if not np.isfinite(condition) or condition > cap:
-        raise NumericsError(f"gauge condition estimate {condition:.3e} exceeds cap {cap:.1e}")
+    if not np.isfinite(condition) or condition > CONDITION_CAP:
+        raise NumericsError(f"gauge condition estimate {condition:.3e} exceeds cap {CONDITION_CAP:.1e}")
     frozen = x.copy()
     frozen.setflags(write=False)
     return GaugeTransform(dim=dim, matrix=frozen, condition_estimate=condition)
 
 
-def random_gauge(d: int, strength: float, seed: int, cap: float = CONDITION_CAP) -> GaugeTransform:
+def random_gauge(d: int, strength: float, seed: int) -> GaugeTransform:
     """Seeded random gauge ``X = 1 + strength * G`` with zeroed first row of G.
 
     Resamples (up to 100 times) until the condition estimate is below the cap.
@@ -81,10 +80,10 @@ def random_gauge(d: int, strength: float, seed: int, cap: float = CONDITION_CAP)
         g[0, :] = 0.0
         x = np.eye(n) + strength * g
         try:
-            return gauge_from_matrix(x, cap=cap)
+            return gauge_from_matrix(x)
         except NumericsError:
             continue
-    raise NumericsError(f"no gauge below condition cap {cap:.1e} after 100 resamples")
+    raise NumericsError(f"no gauge below condition cap {CONDITION_CAP:.1e} after 100 resamples")
 
 
 def _is_identity(matrix: np.ndarray) -> bool:
@@ -161,22 +160,22 @@ class GateSet:
     gauge_frame: bool = False
 
 
-def _check_state_vector(vec: np.ndarray, dim: int, atol: float = 1e-10) -> None:
+def _check_state_vector(vec: np.ndarray, dim: int) -> None:
     rho = vec.reshape(dim, dim)
-    if np.max(np.abs(rho - rho.conj().T)) > atol:
+    if np.max(np.abs(rho - rho.conj().T)) > STATE_EFFECT_ATOL:
         raise StructuralError("state is not Hermitian")
-    if abs(np.trace(rho) - 1.0) > atol:
+    if abs(np.trace(rho) - 1.0) > STATE_EFFECT_ATOL:
         raise StructuralError(f"state trace {np.trace(rho)} is not 1")
-    if np.min(np.linalg.eigvalsh((rho + rho.conj().T) / 2)) < -atol:
+    if np.min(np.linalg.eigvalsh((rho + rho.conj().T) / 2)) < -STATE_EFFECT_ATOL:
         raise StructuralError("state is not positive semidefinite")
 
 
-def _check_effect_vector(vec: np.ndarray, dim: int, atol: float = 1e-10) -> None:
+def _check_effect_vector(vec: np.ndarray, dim: int) -> None:
     e = vec.reshape(dim, dim)
-    if np.max(np.abs(e - e.conj().T)) > atol:
+    if np.max(np.abs(e - e.conj().T)) > STATE_EFFECT_ATOL:
         raise StructuralError("effect is not Hermitian")
     eigs = np.linalg.eigvalsh((e + e.conj().T) / 2)
-    if eigs[0] < -atol or eigs[-1] > 1.0 + atol:
+    if eigs[0] < -STATE_EFFECT_ATOL or eigs[-1] > 1.0 + STATE_EFFECT_ATOL:
         raise StructuralError(f"effect eigenvalues {eigs} outside [0, 1]")
 
 

@@ -86,11 +86,17 @@ def mc_avg_gate_fidelity(ks: KrausSet, n: int, seed: int) -> MonteCarloEstimate:
     return _mc_estimate(ks.dim, n, seed, kraus.conj(), 1.0, traceless=False)
 
 
+def _check_dim(d: int) -> None:
+    if d < 2:
+        raise ValueError(f"dimension must be at least 2, got {d}")
+
+
 def unitarity_exact(tm: TransferMatrix) -> float:
     """Unitarity from the block form: ``(Tr[Phi^dag Phi] - 1 - |k|^2) / (d^2 - 1)``.
 
     Equals the squared Frobenius norm of the Bloch map over ``d^2 - 1``.
     """
+    _check_dim(tm.dim)
     n = tm.dim * tm.dim - 1
     return float(np.sum(tm.bloch_map**2)) / n
 
@@ -116,19 +122,22 @@ def unitarity_lower_from_r(r: float, d: int) -> float:
     """
     if r < 0:
         raise ValueError(f"error rate must be nonnegative, got {r}")
-    if d < 2:
-        raise ValueError(f"dimension must be at least 2, got {d}")
+    _check_dim(d)
     bracket = 1.0 - d * r / (d - 1)
     return bracket * bracket
 
 
 def unitarity_lower_from_spectrum(sp: Spectrum) -> float:
-    """Lower bound ``(sum_k |lambda_k|^2 - d) / (d (d - 1))`` over all eigenvalues.
+    """Schur's lower bound ``sum |lambda|^2 / (d^2 - 1)`` over the non-unit eigenvalues.
 
-    Tight whenever the channel is unitary.
+    The non-unit eigenvalues are those of the Bloch map ``T``, and Schur's
+    inequality ``|T|_F^2 >= sum |lambda_i(T)|^2`` holds with equality exactly
+    when ``T`` is normal.  So the bound never exceeds :func:`unitarity_exact`
+    and equals it for a normal Bloch map: unitary, Pauli and depolarizing
+    channels among them.
     """
-    d = sp.dim
-    return float((np.sum(np.abs(sp.values) ** 2) - d) / (d * (d - 1)))
+    _check_dim(sp.dim)
+    return float(np.sum(np.abs(sp.non_unit_values()) ** 2) / (sp.dim**2 - 1))
 
 
 def diamond_bounds_from_r(r: float, d: int):

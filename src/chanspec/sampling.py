@@ -71,7 +71,7 @@ def unital_qubit_from_eta(eta: EtaTriple, o1=None, o2=None) -> TransferMatrix:
     o1 = np.eye(3) if o1 is None else np.asarray(o1, dtype=float)
     o2 = np.eye(3) if o2 is None else np.asarray(o2, dtype=float)
     t = o1 @ np.diag(eta.as_array()) @ o2.T
-    return TransferMatrix.from_blocks(np.zeros(3), t, dim=2)
+    return TransferMatrix.from_blocks(np.zeros(3), t)
 
 
 def sample_unital_qubit(seed: int) -> TransferMatrix:

@@ -96,6 +96,9 @@ def channel_from_dict(payload: dict):
     if fmt == "transfer":
         if not isinstance(data, dict) or not all(isinstance(data.get(b), list) for b in "kT"):
             raise StructuralError('transfer data must be an object holding lists "k" and "T"')
+        entries = [*data["k"], *(v for row in data["T"] for v in (row if isinstance(row, list) else [row]))]
+        if any(isinstance(v, bool) for v in entries):  # numpy would read true as 1
+            raise StructuralError("transfer blocks must hold numbers, not booleans")
         tm = TransferMatrix.from_blocks(data["k"], data["T"])
         if tm.dim != dim:
             raise StructuralError(f"declared dim {dim} but blocks imply dim {tm.dim}")
@@ -150,7 +153,7 @@ def load_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as handle:
         try:
             payload = json.load(handle)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # nesting past the parser's depth
             raise StructuralError(f"invalid JSON in {path}: {exc}") from exc
     if not isinstance(payload, dict):
         raise StructuralError(f"{path} must hold a JSON object")

@@ -10,6 +10,7 @@ from .exceptions import MalformedSpectrumError, NumericsError, UnsupportedDimens
 CONJUGATION_PAIR_TOL = 1e-8
 UNIT_EIGENVALUE_FLAG_TOL = 1e-6
 REAL_CLASSIFICATION_TOL = 1e-9
+PERIPHERAL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -33,14 +34,14 @@ class Spectrum:
         """The eigenvalues with the designated unit eigenvalue removed."""
         return non_unit_stack(self.values, self.unit_index)
 
-    def peripheral_count(self, tol: float = 1e-9) -> int:
-        """Number of eigenvalues of modulus (within ``tol`` of) one.
+    def peripheral_count(self) -> int:
+        """Number of eigenvalues of modulus (within ``PERIPHERAL_TOL`` of) one.
 
         A count above one means the leading eigenvalue is degenerate on the
         unit circle, so the channel is not primitive and the invariant state
         is not approached from every input.
         """
-        return int(np.sum(np.abs(self.values) >= 1.0 - tol))
+        return int(np.sum(np.abs(self.values) >= 1.0 - PERIPHERAL_TOL))
 
 
 @dataclass(frozen=True)
@@ -191,12 +192,13 @@ def matched_spectral_distance(values_a, values_b) -> float:
     return float(levels[lo])
 
 
-def check_conjugation_closed(values, tol: float = CONJUGATION_PAIR_TOL) -> None:
-    """Raise :class:`MalformedSpectrumError` unless ``values`` match their conjugates within ``tol``."""
+def check_conjugation_closed(values) -> None:
+    """Raise :class:`MalformedSpectrumError` unless ``values`` match their conjugates
+    within ``CONJUGATION_PAIR_TOL``."""
     distance = matched_spectral_distance(values, np.conj(values))
-    if distance > tol:
+    if distance > CONJUGATION_PAIR_TOL:
         raise MalformedSpectrumError(
-            f"spectrum is not closed under conjugation within {tol:.1e}: "
+            f"spectrum is not closed under conjugation within {CONJUGATION_PAIR_TOL:.1e}: "
             f"its best matching to the conjugates is {distance:.3e} apart"
         )
 

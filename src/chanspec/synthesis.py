@@ -9,7 +9,7 @@ by construction, not by optimization.
 
 import numpy as np
 
-from .channel import Superoperator, TransferMatrix
+from .channel import Superoperator, TransferMatrix, transfer_to_superoperator
 from .criteria import VERDICT_ATOL, complex_pair_disc, pair_margins_stack, real_tetrahedron
 from .exceptions import NotRealizableError
 
@@ -142,22 +142,14 @@ def canonical_stack(x: float, re: np.ndarray, im: np.ndarray):
 
 def det_saturating_transfer() -> TransferMatrix:
     """Exact block form of the determinant-saturating channel: k = 0, T = -1/3."""
-    return TransferMatrix.from_blocks(np.zeros(3), np.diag([-1.0 / 3.0] * 3), dim=2)
+    return TransferMatrix.from_blocks(np.zeros(3), np.diag([-1.0 / 3.0] * 3))
 
 
 def det_saturating_channel() -> Superoperator:
     """Unital qubit channel whose Bloch-map determinant attains the minimum -1/27.
 
-    Block form ``k = 0``, ``T = -identity/3`` (see
-    :func:`det_saturating_transfer`); acting as
+    The superoperator of :func:`det_saturating_transfer`, acting as
     ``rho -> (2/3) Tr[rho] - rho / 3``.  The Choi spectrum is
     ``{0, 2/3, 2/3, 2/3}``, so the channel sits exactly on the CP boundary.
-    The superoperator entries are written out directly to keep the Bloch-map
-    determinant at the float closest to -1/27.
     """
-    third = 1.0 / 3.0
-    m = np.zeros((4, 4), dtype=complex)
-    m[0, 0] = m[3, 3] = third
-    m[0, 3] = m[3, 0] = 2.0 * third
-    m[1, 1] = m[2, 2] = -third
-    return Superoperator(dim=2, matrix=m)
+    return transfer_to_superoperator(det_saturating_transfer())

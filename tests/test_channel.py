@@ -100,7 +100,7 @@ class TestTransferForm:
             np.testing.assert_allclose(back.matrix, phi.matrix, atol=1e-12)
 
     def test_best_approximate_not_round_trip(self):
-        tm = cs.TransferMatrix.from_blocks(np.zeros(3), -np.eye(3) / 3.0, dim=2)
+        tm = cs.TransferMatrix.from_blocks(np.zeros(3), -np.eye(3) / 3.0)
         phi = cs.transfer_to_superoperator(tm)
         again = cs.superoperator_to_transfer(phi)
         np.testing.assert_allclose(again.bloch_map, tm.bloch_map, atol=1e-14)
@@ -141,7 +141,7 @@ class TestChoi:
     def test_det_saturating_choi_spectrum(self):
         # oracle: diagonalize the reshuffled 4x4 matrix of k=0, T=-1/3
         phi = cs.transfer_to_superoperator(
-            cs.TransferMatrix.from_blocks(np.zeros(3), -np.eye(3) / 3.0, dim=2)
+            cs.TransferMatrix.from_blocks(np.zeros(3), -np.eye(3) / 3.0)
         )
         eigs = np.linalg.eigvalsh(cs.choi_matrix(phi).matrix)
         np.testing.assert_allclose(eigs, [0, 2 / 3, 2 / 3, 2 / 3], atol=1e-14)
@@ -165,9 +165,15 @@ class TestCompletePositivity:
         assert report.completely_positive
         assert abs(report.min_eigenvalue) < 1e-12
 
+    def test_amplitude_damping_saturates(self):
+        # gamma = 0.5 amplitude damping sits on the CP boundary: its Choi matrix is singular
+        report = cs.is_completely_positive(cs.kraus_to_superoperator(amplitude_damping_kraus(0.5)))
+        assert report.completely_positive
+        assert abs(report.min_eigenvalue) < 1e-12
+
     def test_transpose_like_map_is_not_cp(self):
         # T = diag(1, 1, -1) violates 1 + eta3 >= |eta1 + eta2|
-        tm = cs.TransferMatrix.from_blocks(np.zeros(3), np.diag([1.0, 1.0, -1.0]), dim=2)
+        tm = cs.TransferMatrix.from_blocks(np.zeros(3), np.diag([1.0, 1.0, -1.0]))
         phi = cs.transfer_to_superoperator(tm)
         report = cs.is_completely_positive(phi)
         assert not report.completely_positive

@@ -1,10 +1,16 @@
+import contextlib
+import copy
+import io
 import json
+import math
 import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import chanspec as cs
 from chanspec import serialize
@@ -36,7 +42,7 @@ class TestAnalyze:
         assert report["choi"]["completely_positive"] is True
 
     def test_refuting_transfer_input(self, tmp_path):
-        tm = cs.TransferMatrix.from_blocks(np.zeros(3), np.diag([1.0, 1.0, -1.0]), dim=2)
+        tm = cs.TransferMatrix.from_blocks(np.zeros(3), np.diag([1.0, 1.0, -1.0]))
         path = write_channel(tmp_path, "neg.json", tm)
         out = tmp_path / "report.json"
         code = main(["analyze", path, "--out", str(out)])
@@ -142,6 +148,9 @@ ZERO_T = [[0.0] * 3] * 3
         # spectra no Hermiticity-preserving map has: not closed under conjugation
         ("analyze", {"spectrum": [[1, 0], [0.5, 0.2], [0.3, -0.1], [0.1, -0.1]]}),
         ("analyze", {"spectrum": [[1, 0], [0.5, 0.2], [0.3, 0], [0.1, 0]]}),
+        # 1-dimensional channels: no Bloch map, so no unitarity
+        ("analyze", {"dim": 1, "format": "kraus", "data": [[[[1, 0]]]]}),
+        ("analyze", {"dim": 1, "format": "superoperator", "data": [[[1, 0]]]}),
     ],
 )
 def test_malformed_payload_exits_1(tmp_path, capsys, command, payload):
@@ -152,6 +161,116 @@ def test_malformed_payload_exits_1(tmp_path, capsys, command, payload):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+def _nodes(node, path=()):
+    """Every ``(path, value)`` of a JSON payload, the payload itself first."""
+    yield path, node
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        yield from _nodes(value, path + (key,))
+
+
+def _at(node, path):
+    for key in path:
+        node = node[key]
+    return node
+
+
+def _pick(rng, options):
+    return options[int(rng.integers(len(options)))]
+
+
+def _valid_payload(rng):
+    """A command and a well-formed payload for it: a channel (Haar CP, or a random
+    transfer matrix that need not be CP), its spectrum, or a synthesis target."""
+    command = _pick(rng, ["analyze", "synthesize", "gauge"])
+    if command == "synthesize":
+        x, re, im = rng.uniform(-1.2, 1.2, 3).tolist()
+        return command, _pick(rng, [{"x": x, "z": [re, im]}, {"real": [x, re, im]}])
+    d = _pick(rng, [2, 3])
+    ks = cs.sample_cptp(d, int(rng.integers(1, d * d + 1)), int(rng.integers(2**31)))
+    phi = cs.kraus_to_superoperator(ks)
+    kind = _pick(rng, ["kraus", "superoperator", "transfer", "non_cp_transfer"] + ["spectrum"] * (command == "analyze"))
+    if kind == "spectrum":
+        return command, {"spectrum": [[v.real, v.imag] for v in cs.spectrum(phi).values]}
+    if kind == "non_cp_transfer":
+        n = d * d - 1
+        tm = cs.TransferMatrix.from_blocks(rng.normal(0.0, 0.5, n), rng.normal(0.0, 0.5, (n, n)))
+        return command, serialize.channel_to_dict(tm)
+    forms = {"kraus": ks, "superoperator": phi, "transfer": cs.superoperator_to_transfer(phi)}
+    return command, serialize.channel_to_dict(forms[kind])
+
+
+JUNK = [None, True, False, "0.5", [], {}, float("nan"), float("inf"), 10**400]
+
+
+def _malformed(rng, command, payload):
+    """A copy of a valid payload broken in one drawn way, each of which is an input error."""
+    payload = copy.deepcopy(payload)
+    n = len(payload.get("spectrum", ())) or payload.get("dim", 0) ** 2
+    ways = ["not_object", "drop_key", "junk_leaf", "drop_item"]
+    ways += ["bad_dim"] * bool(n) + ["bad_format", "bad_data"] * ("format" in payload)
+    ways += ["one_dimensional"] * (command == "analyze")
+    way = _pick(rng, ways)
+    nodes = list(_nodes(payload))
+    if way == "not_object":
+        return _pick(rng, [[], 5, "x", None, [payload]])
+    if way == "drop_key":
+        del payload[_pick(rng, [key for key in payload if key != "dim" or "spectrum" not in payload])]
+    elif way == "junk_leaf":
+        path = _pick(rng, [p for p, v in nodes if p[:1] != ("dim",) and not isinstance(v, (list, dict))])
+        _at(payload, path[:-1])[path[-1]] = _pick(rng, JUNK)
+    elif way == "drop_item":
+        node = _at(payload, _pick(rng, [p for p, v in nodes if isinstance(v, list) and v]))
+        del node[int(rng.integers(len(node)))]
+    elif way == "bad_dim":
+        d = math.isqrt(n)
+        payload["dim"] = _pick(rng, [1, 0, -1, d + 1, d + 0.5, str(d), [d], True, float("inf")])
+    elif way == "bad_format":
+        payload["format"] = _pick(rng, ["choi", "KRAUS", "", 5, None])
+    elif way == "bad_data":
+        payload["data"] = _pick(rng, [5, "x", None, [], {}, [[]], True])
+    else:  # a 1-dimensional channel has no Bloch map, so no unitarity
+        angle = rng.uniform(-np.pi, np.pi)
+        phase = [math.cos(angle), math.sin(angle)]
+        payload = _pick(rng, [
+            {"dim": 1, "format": "kraus", "data": [[[phase]]]},
+            {"dim": 1, "format": "superoperator", "data": [[[1.0, 0.0]]]},
+        ])
+    return payload
+
+
+def _run(tmp, command, payload):
+    """Exit code and standard error of one command on a payload file."""
+    path = tmp / "payload.json"
+    path.write_text(json.dumps(payload))
+    argv = ["gauge", "--gates", str(path), "--max-len", "2"] if command == "gauge" else [command, str(path)]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv + ["--out", str(tmp / "out")])
+    return code, err.getvalue()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1))
+def test_generated_payloads_exit_1_exactly_when_malformed(tmp_path_factory, seed):
+    # each example runs a valid payload, then the same payload broken in one way
+    rng = np.random.default_rng(seed)
+    tmp = tmp_path_factory.mktemp("fuzz")
+    command, payload = _valid_payload(rng)
+    code, err = _run(tmp, command, payload)
+    assert code in (0, 2) and "Traceback" not in err, (payload, err)
+    payload = _malformed(rng, command, payload)
+    code, err = _run(tmp, command, payload)
+    assert code == 1 and err.startswith("error: ") and "Traceback" not in err, (payload, err)
+
+
+def test_json_nested_past_the_parser_depth_exits_1(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text('{"spectrum": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    assert main(["analyze", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def _contract_spectra():

@@ -51,6 +51,12 @@ class TestFaSingular:
         assert not v.satisfied
         assert v.margin == pytest.approx(-0.9)
 
+    def test_zero_sign_takes_positive_branch(self):
+        # theorem1's rule: a sign >= 0 takes "+"; min(s) = 0 there, so the branches agree
+        v = cs.fa_singular((0.5, 0.3, 0.0), det_sign=0)
+        assert v.branch == "+" and v.margin == pytest.approx(0.2)
+        assert v.margin == cs.fa_singular((0.5, 0.3, 0.0), det_sign=-1).margin
+
     def test_ordering_enforced(self):
         with pytest.raises(ValueError):
             cs.fa_singular((0.1, 0.5, 0.2), det_sign=1)
@@ -199,67 +205,6 @@ class TestKNormBound:
             sp = cs.spectrum(phi)
             bound = cs.k_norm_bound(sp)
             assert float(tm.translation @ tm.translation) <= bound + 1e-9
-
-
-class TestZCondition:
-    def test_fully_depolarizing(self):
-        v = cs.z_condition((0.0, 0.0, 0.0), np.zeros(3))
-        assert v.satisfied and v.margin == 1.0
-
-    def test_identity_boundary(self):
-        v = cs.z_condition((1.0, 1.0, 1.0), np.zeros(3))
-        assert v.satisfied and v.margin == 0.0
-
-    def test_amplitude_damping_saturates(self):
-        # gamma = 0.5 amplitude damping: eta = (sqrt(.5), sqrt(.5), .5),
-        # k = (0, 0, .5); Choi oracle shows the channel is on the CP boundary
-        eta = (np.sqrt(0.5), np.sqrt(0.5), 0.5)
-        v = cs.z_condition(eta, np.array([0.0, 0.0, 0.5]))
-        assert abs(v.margin) < 1e-15
-        from conftest import amplitude_damping_kraus
-
-        phi = cs.kraus_to_superoperator(amplitude_damping_kraus(0.5))
-        report = cs.is_completely_positive(phi)
-        assert report.completely_positive
-        assert abs(report.min_eigenvalue) < 1e-12
-
-    def test_negative_branch_det_minimum(self):
-        # direct evaluation of the four factors: q(1/3, 1/3, 1/3) =
-        # 2 * (2/3)^3 = 16/27, and q(-s) = q(s) - 16 * s1 s2 s3 = 0 at
-        # s = (1/3, 1/3, 1/3): the determinant-saturating channel sits on the
-        # CP boundary
-        v = cs.z_condition((-1 / 3, -1 / 3, -1 / 3), np.zeros(3))
-        assert v.satisfied
-        assert abs(v.margin) < 1e-15
-        q = cs.quadruple_product((1 / 3, 1 / 3, 1 / 3))
-        assert q == pytest.approx(16 / 27, abs=1e-15)
-        assert v.margin == pytest.approx(q - 16 / 27, abs=1e-15)
-
-
-singular_triples = st.lists(st.floats(0.0, 1.2), min_size=3, max_size=3).map(
-    lambda s: sorted(s, reverse=True)
-)
-translations = st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3)
-
-
-@settings(max_examples=500, deadline=None)
-@given(singular_triples, translations)
-def test_negative_branch_is_z_condition_at_negated_triple(s, k):
-    # q(-s) = q(s) - 16 s1 s2 s3, so the negative-determinant branch
-    # Z(s) - 16 s1 s2 s3 is the signed-triple condition at -s (diag(-s) has
-    # determinant -s1 s2 s3)
-    negative = cs.z_condition(-np.array(s), k).margin
-    assert negative == pytest.approx(cs.z_condition(s, k).margin - 16.0 * np.prod(s), abs=1e-12)
-
-
-@settings(max_examples=300, deadline=None)
-@given(unit_floats, unit_floats, unit_floats)
-@example(-(1 / 3 + 2e-13), -(1 / 3 + 2e-13), -(1 / 3 + 2e-13))
-def test_fa_implies_quadruple_product_nonnegative(e1, e2, e3):
-    # a satisfied verdict allows one slack down to -VERDICT_ATOL; the four
-    # slacks sum to 4, so the other three multiply to at most (4/3)^3
-    if cs.fa_conditions((e1, e2, e3)).satisfied:
-        assert cs.quadruple_product((e1, e2, e3)) >= -(64 / 27) * VERDICT_ATOL - 1e-15
 
 
 def normal_channel_matrix(l1, l2, l3):

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import chanspec as cs
 
 from conftest import (
+    PAULIS,
     amplitude_damping_kraus,
     bit_flip_kraus,
     depolarizing_kraus,
@@ -203,7 +206,7 @@ class TestUnitarityBounds:
         sp_unitary = cs.spectrum(cs.kraus_to_superoperator(cs.sample_cptp(2, 1, seed=2)))
         assert cs.unitarity_lower_from_spectrum(sp_unitary) == pytest.approx(1.0, abs=1e-9)
         sp_dep = cs.spectrum(cs.kraus_to_superoperator(depolarizing_kraus(0.5)))
-        assert cs.unitarity_lower_from_spectrum(sp_dep) == pytest.approx(-0.125, abs=1e-12)
+        assert cs.unitarity_lower_from_spectrum(sp_dep) == pytest.approx(0.25, abs=1e-12)
         sp_id = cs.build_spectrum([1, 1, 1, 1], 2)
         assert cs.unitarity_lower_from_spectrum(sp_id) == pytest.approx(1.0)
 
@@ -214,6 +217,27 @@ class TestUnitarityBounds:
             r = 1.0 - cs.avg_gate_fidelity_from_spectrum(sp)
             assert u >= cs.unitarity_lower_from_r(max(r, 0.0), 2) - 1e-10
             assert u >= cs.unitarity_lower_from_spectrum(sp) - 1e-10
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    st.integers(2, 4),
+    st.integers(1, 16),
+    st.integers(0, 2**31 - 1),
+    st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4).filter(lambda w: sum(w) > 0.1),
+)
+def test_schur_bound_below_unitarity_with_equality_on_normal_maps(d, rank, seed, weights):
+    # Schur: |T|_F^2 >= sum |lambda(T)|^2, with equality exactly when T is normal
+    def gap(phi):
+        exact = cs.unitarity_exact(cs.superoperator_to_transfer(phi))
+        return exact - cs.unitarity_lower_from_spectrum(cs.spectrum(phi))
+
+    assert gap(cs.kraus_to_superoperator(cs.sample_cptp(d, min(rank, d * d), seed))) >= -1e-12
+    assert gap(cs.kraus_to_superoperator(cs.sample_cptp(d, 1, seed))) == pytest.approx(0.0, abs=1e-12)
+    pauli = cs.KrausSet.from_operators(
+        [np.sqrt(w / sum(weights)) * sigma for w, sigma in zip(weights, PAULIS)]
+    )
+    assert gap(cs.kraus_to_superoperator(pauli)) == pytest.approx(0.0, abs=1e-12)
 
 
 class TestDiamondBounds:
